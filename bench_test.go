@@ -223,11 +223,12 @@ func BenchmarkRecommenderDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectBatch measures the fused batched detection pass the
-// serving plane (internal/serve) flushes through, sweeping the batch size.
-// ns/query is the per-request cost: the fold-in's per-sweep work amortises
-// across the batch, so it should fall as the batch grows — the headroom
-// boltd's batching converts into throughput.
+// BenchmarkDetectBatch measures the batched detection call the serving
+// plane (internal/serve) flushes through, sweeping the batch size.
+// ns/query is the per-request cost: each row is completed on its own and
+// the batch shares the ranking prep and confidence score of its mask, so
+// it falls as the batch grows — the headroom boltd's batching converts
+// into throughput.
 func BenchmarkDetectBatch(b *testing.B) {
 	det := core.TrainCached(workload.TrainingSpecs(benchSeed), core.Config{})
 	n := det.Rec.ResourceCount()

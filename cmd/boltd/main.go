@@ -1,8 +1,8 @@
 // Command boltd runs the detection service as a long-lived daemon: it
 // trains a detector, then answers newline-delimited JSON detection queries
 // over TCP (see internal/serve's wire protocol), batching concurrent
-// requests into fused DetectBatch passes and answering from an immutable
-// RCU-style detector snapshot.
+// requests into DetectBatch calls that share one ranking prep per known
+// mask, and answering from an immutable RCU-style detector snapshot.
 //
 // Usage:
 //
@@ -43,7 +43,7 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:9412", "listen address")
 	seed := flag.Uint64("seed", 42, "training-set seed for the initial detector")
 	workers := flag.Int("workers", 1, "batch workers pulling from the shared queue")
-	batch := flag.Int("batch", 64, "max requests fused into one DetectBatch pass")
+	batch := flag.Int("batch", 64, "max requests per flush; requests sharing a known mask share one ranking prep")
 	queue := flag.Int("queue", 0, "request queue depth (0 = 4x batch); a full queue sheds with ErrBusy")
 	linger := flag.Duration("linger", 0, "how long a non-full batch waits for stragglers")
 	faultrate := flag.Float64("faultrate", 0, "request-level fault intensity in [0,1] (0 = no injection)")

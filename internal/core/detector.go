@@ -239,27 +239,31 @@ func (pd *ProfileDetection) Label() string {
 // the solo reference path the service's batched answers are bit-exact
 // against (TestDetectProfileBatchBitExact and the serve parity tests).
 func (d *Detector) DetectProfile(observed []float64, known []bool) ProfileDetection {
-	return d.profileDetection(d.Rec.Detect(observed, known), known)
+	return d.profileDetection(d.Rec.Detect(observed, known), d.confidence(known))
 }
 
 // DetectProfileBatch answers a batch of profile-only queries sharing one
-// known mask in a single fused fold-in pass (mining.DetectBatch). Row i of
-// the result is bit-identical to DetectProfile(observed[i], known): the
-// batched completion is bit-exact per row, and the confidence score depends
-// only on the shared mask.
+// known mask (mining.DetectBatch): each row is completed on its own, and
+// the batch shares the ranking prep and the confidence score, both of
+// which depend only on the mask. Row i of the result is bit-identical to
+// DetectProfile(observed[i], known).
 func (d *Detector) DetectProfileBatch(observed [][]float64, known []bool) []ProfileDetection {
 	results := d.Rec.DetectBatch(observed, known)
 	out := make([]ProfileDetection, len(results))
+	if len(results) == 0 {
+		return out
+	}
+	conf := d.confidence(known)
 	for i, r := range results {
-		out[i] = d.profileDetection(r, known)
+		out[i] = d.profileDetection(r, conf)
 	}
 	return out
 }
 
-func (d *Detector) profileDetection(res *mining.Result, known []bool) ProfileDetection {
+func (d *Detector) profileDetection(res *mining.Result, confidence float64) ProfileDetection {
 	return ProfileDetection{
 		Result:        res,
-		Confidence:    d.confidence(known),
+		Confidence:    confidence,
 		minConfidence: d.cfg.MinConfidence,
 	}
 }

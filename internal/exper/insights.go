@@ -71,8 +71,8 @@ func Insights(seed uint64) *Report {
 	victims := workload.VictimSpecs(seed, 60)
 	// The observation rows don't depend on which resource is "known", so
 	// they are built once; each per-resource sweep then shares one mask
-	// across all victims — exactly the shape DetectBatch fuses into a single
-	// multi-victim fold-in pass instead of 60 independent completions.
+	// across all victims — exactly the shape DetectBatch serves with one
+	// ranking prep instead of 60.
 	obs := make([][]float64, len(victims))
 	for i, spec := range victims {
 		obs[i] = spec.Base.Slice()

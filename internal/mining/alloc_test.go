@@ -69,29 +69,22 @@ func TestCompleteAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestCompleteBatchIntoAllocationFree pins the fused multi-victim fold-in
-// (and the row-batched kernels it drives) to zero steady-state allocations:
-// the pooled batchScratch absorbs every per-call buffer once warm.
-func TestCompleteBatchIntoAllocationFree(t *testing.T) {
+// TestDetectBatchAllocationBudget pins a steady-state DetectBatch at the
+// returned slice plus each row's Result, Pressure copy and Matches slice:
+// the ranking prep, the completions and the scans all run in pooled scratch.
+func TestDetectBatchAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
 	}
-	train := trainMatrix(24, 30, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 3})
-	const b = 4
-	obs := make([][]float64, b)
-	dst := make([][]float64, b)
-	known := make([]bool, 10)
-	known[2], known[7] = true, true
-	for i := range obs {
-		obs[i] = make([]float64, 10)
-		obs[i][2], obs[i][7] = float64(30+i*10), float64(60-i*5)
-		dst[i] = make([]float64, 10)
-	}
-	c.CompleteBatchInto(dst, obs, known) // populate the scratch pool
-	allocs := testing.AllocsPerRun(100, func() { c.CompleteBatchInto(dst, obs, known) })
-	if allocs > 0.5 {
-		t.Errorf("CompleteBatchInto allocated %.2f objects/op, want 0", allocs)
+	rng := stats.NewRNG(24)
+	rec := NewRecommender(synthTrain(rng), RecommenderConfig{})
+	for _, rows := range []int{1, 4, 16} {
+		obs, known := batchObservations(rng, rows, rec.ResourceCount(), 0.3)
+		rec.DetectBatch(obs, known) // populate the scratch pools
+		allocs := testing.AllocsPerRun(100, func() { rec.DetectBatch(obs, known) })
+		if budget := float64(1 + 3*rows); allocs > budget {
+			t.Errorf("DetectBatch of %d rows allocated %.2f objects/op, budget is %.0f", rows, allocs, budget)
+		}
 	}
 }
 
@@ -103,9 +96,9 @@ func TestCompleteBatchIntoAllocationFree(t *testing.T) {
 var hotpathBudget = map[string]string{
 	"Detect":            "TestDetectAllocationBudget",
 	"DetectDense":       "TestDetectAllocationBudget",
-	"detect":            "TestDetectAllocationBudget",
-	"sortMatches":       "TestDetectAllocationBudget",
-	"proximity":         "TestDetectAllocationBudget",
+	"rankPrep":          "TestDetectBatchAllocationBudget",
+	"rankScan":          "TestDetectAllocationBudget",
+	"sortKeys":          "TestDetectAllocationBudget",
 	"Dot":               "TestDetectAllocationBudget",
 	"Axpy":              "TestCompleteIntoAllocationFree",
 	"sgdStep":           "TestCompleteIntoAllocationFree",
@@ -114,9 +107,6 @@ var hotpathBudget = map[string]string{
 	"CompleteInto":      "TestCompleteIntoAllocationFree",
 	"neighbourEstimate": "TestCompleteIntoAllocationFree",
 	"gaussKernel":       "TestCompleteIntoAllocationFree",
-	"DotRows":           "TestCompleteBatchIntoAllocationFree",
-	"FoldStepRows":      "TestCompleteBatchIntoAllocationFree",
-	"AxpyRows":          "TestCompleteBatchIntoAllocationFree",
 }
 
 // TestHotpathAnnotationsCovered fails when a //bolt:hotpath annotation is

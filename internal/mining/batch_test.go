@@ -25,62 +25,6 @@ func batchObservations(rng *stats.RNG, b, n int, knownProb float64) ([][]float64
 	return obs, known
 }
 
-// TestCompleteBatchIntoBitExact pins the tentpole claim: the fused
-// multi-victim fold-in produces, row for row, exactly the bits of the solo
-// CompleteInto loop — with the convergence gate on and off, across mask
-// densities from empty to full, and across repeated calls (the pooled batch
-// scratch must not leak state between batches).
-func TestCompleteBatchIntoBitExact(t *testing.T) {
-	const n = 10
-	train := trainMatrix(11, 30, n)
-	for _, cfg := range []CompletionConfig{
-		{MaxVal: 100, Seed: 5},
-		{MaxVal: 100, Seed: 5, FixedFoldIn: true},
-	} {
-		c := NewCompleter(train, cfg)
-		rng := stats.NewRNG(99)
-		for trial, knownProb := range []float64{0.2, 0.5, 0, 1, 0.3} {
-			b := 1 + int(rng.Uint64()%7)
-			obs, known := batchObservations(rng, b, n, knownProb)
-			batched := make([][]float64, b)
-			for i := range batched {
-				batched[i] = make([]float64, n)
-			}
-			c.CompleteBatchInto(batched, obs, known)
-			solo := make([]float64, n)
-			for i := range obs {
-				c.CompleteInto(solo, obs[i], known)
-				for j := range solo {
-					if batched[i][j] != solo[j] {
-						t.Fatalf("fixed=%v trial %d: batched row %d col %d = %v, solo = %v",
-							cfg.FixedFoldIn, trial, i, j, batched[i][j], solo[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCompleteBatchIntoDegenerate: an empty batch is a no-op, and a
-// single-row batch matches the solo path exactly.
-func TestCompleteBatchIntoDegenerate(t *testing.T) {
-	const n = 10
-	c := NewCompleter(trainMatrix(3, 20, n), CompletionConfig{MaxVal: 100, Seed: 2})
-	c.CompleteBatchInto(nil, nil, nil) // empty batch: mask unchecked, nothing to do
-
-	rng := stats.NewRNG(4)
-	obs, known := batchObservations(rng, 1, n, 0.3)
-	got := [][]float64{make([]float64, n)}
-	c.CompleteBatchInto(got, obs, known)
-	want := make([]float64, n)
-	c.CompleteInto(want, obs[0], known)
-	for j := range want {
-		if got[0][j] != want[j] {
-			t.Fatalf("single-row batch col %d = %v, solo = %v", j, got[0][j], want[j])
-		}
-	}
-}
-
 // TestDetectBatchBitExact pins the recommender layer: DetectBatch returns,
 // per row, exactly the Result Detect would have returned — same completed
 // pressure bits, same similarity bits, same ranking.
@@ -113,5 +57,36 @@ func TestDetectBatchBitExact(t *testing.T) {
 	}
 	if out := rec.DetectBatch(nil, nil); len(out) != 0 {
 		t.Fatalf("DetectBatch(nil) returned %d results", len(out))
+	}
+}
+
+// TestDetectLengthPanicsNameTheCheck: DetectBatch checks every row's length
+// before answering any row, so a ragged batch fails with DetectBatch's own
+// message rather than inside the completion of its first bad row, after
+// the rows before it were answered; DetectDense's message names the
+// pressure-length check itself.
+func TestDetectLengthPanicsNameTheCheck(t *testing.T) {
+	rng := stats.NewRNG(18)
+	rec := NewRecommender(synthTrain(rng), RecommenderConfig{})
+	n := rec.ResourceCount()
+	obs, known := batchObservations(rng, 3, n, 0.4)
+	const ragged = "mining: DetectBatch row length != ResourceCount()"
+	for name, tc := range map[string]struct {
+		call func()
+		want string
+	}{
+		"short last row": {func() { rec.DetectBatch(append(obs[:2:2], make([]float64, n-1)), known) }, ragged},
+		"long first row": {func() { rec.DetectBatch(append([][]float64{make([]float64, n+1)}, obs...), known) }, ragged},
+		"short mask":     {func() { rec.DetectBatch(obs, known[:n-1]) }, "mining: DetectBatch mask length != ResourceCount()"},
+		"dense":          {func() { rec.DetectDense(make([]float64, n-1)) }, "mining: pressure vector length != ResourceCount()"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s: panic %v, want %q", name, got, tc.want)
+				}
+			}()
+			tc.call()
+		}()
 	}
 }

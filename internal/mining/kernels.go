@@ -55,66 +55,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// DotRows computes out[b] = Dot(us[b*stride : b*stride+len(q)], q) for every
-// row b with active[b], leaving inactive slots of out untouched. us is the
-// row-major B×stride factor matrix of a batched fold-in; sharing one pass
-// over q across all rows is what turns B separate fold-in sweeps into one
-// fused sweep with q hot in cache. Each active row's accumulation is exactly
-// Dot on its subslice, so the result is bit-identical to the per-row kernel.
-//
-//bolt:hotpath
-func DotRows(us []float64, stride int, q, out []float64, active []bool) {
-	if len(q) > stride {
-		panic("mining: DotRows stride shorter than q")
-	}
-	for b := range out {
-		if !active[b] {
-			continue
-		}
-		off := b * stride
-		out[b] = Dot(us[off:off+len(q):off+len(q)], q)
-	}
-}
-
-// FoldStepRows applies foldStep to every row b with active[b], using the
-// per-row residual errs[b]. Row b's update is exactly
-// foldStep(us[b*stride:...], q, lr, errs[b], reg) — the batched fold-in's
-// inner kernel, bit-identical per row to the solo solve.
-//
-//bolt:hotpath
-func FoldStepRows(us []float64, stride int, q []float64, lr float64, errs []float64, reg float64, active []bool) {
-	if len(q) > stride {
-		panic("mining: FoldStepRows stride shorter than q")
-	}
-	for b := range errs {
-		if !active[b] {
-			continue
-		}
-		off := b * stride
-		foldStep(us[off:off+len(q):off+len(q)], q, lr, errs[b], reg)
-	}
-}
-
-// AxpyRows performs ys[b*stride:] += ws[b]*x for every row b whose weight is
-// nonzero — the accumulation kernel of the batched neighbourhood estimate,
-// where one training row is streamed once and folded into every victim's
-// estimate. A zero weight skips the row entirely, matching the solo
-// neighbourEstimate's w == 0 short-circuit bit for bit.
-//
-//bolt:hotpath
-func AxpyRows(ws []float64, x, ys []float64, stride int) {
-	if len(x) > stride {
-		panic("mining: AxpyRows stride shorter than x")
-	}
-	for b := range ws {
-		if ws[b] == 0 {
-			continue
-		}
-		off := b * stride
-		Axpy(ws[b], x, ys[off:off+len(x):off+len(x)])
-	}
-}
-
 // sgdStep applies one coupled SGD factor update for a single training cell:
 //
 //	p[k] += lr * (err*q[k] - reg*p[k])
@@ -158,8 +98,7 @@ func foldStep(u, q []float64, lr, err, reg float64) {
 // the dot product accumulates left to right exactly like Dot, the update is
 // foldStep's expression per coordinate, and the convergence gate runs the
 // same per-coordinate comparisons in the same order. Bit-identity with the
-// generic (and batched) path is pinned by TestCompleteBatchIntoBitExact,
-// whose batch side still runs the scalar kernels.
+// generic path's scalar kernels is pinned by TestFoldSolve6MatchesGenericBitExact.
 //
 //bolt:hotpath
 func foldSolve6(u, qdata []float64, kidx []int, observed []float64, lr, reg float64, fixed bool) {

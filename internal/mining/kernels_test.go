@@ -118,3 +118,64 @@ func TestDotSpecialValuesPropagate(t *testing.T) {
 		t.Fatalf("Inf*0 should poison the sum with NaN, got %v", got)
 	}
 }
+
+// referenceFoldIn is CompleteInto's generic fold-in solve for rank r —
+// Dot and foldStep per known column, with the convergence gate unless
+// fixed — returning the factor row and the number of sweeps it ran.
+func referenceFoldIn(qdata []float64, r int, kidx []int, observed []float64, lr, reg float64, fixed bool) ([]float64, int) {
+	u, prev := make([]float64, r), make([]float64, r)
+	for it := 0; it < foldInIters; it++ {
+		copy(prev, u)
+		for _, j := range kidx {
+			qj := qdata[j*r : (j+1)*r]
+			foldStep(u, qj, lr, observed[j]-Dot(u, qj), reg)
+		}
+		if fixed {
+			continue
+		}
+		maxDelta, maxU := 0.0, 0.0
+		for k := range u {
+			if d := math.Abs(u[k] - prev[k]); d > maxDelta {
+				maxDelta = d
+			}
+			if a := math.Abs(u[k]); a > maxU {
+				maxU = a
+			}
+		}
+		if maxDelta <= foldInTol*maxU {
+			return u, it + 1
+		}
+	}
+	return u, foldInIters
+}
+
+// TestFoldSolve6MatchesGenericBitExact pins the register-resident rank-6
+// solve to the generic scalar-kernel solve, gated and fixed, for masks from
+// one known column to all of them.
+func TestFoldSolve6MatchesGenericBitExact(t *testing.T) {
+	rng := stats.NewRNG(15)
+	const n, lr, reg = 10, 0.01, 0.002
+	qdata := randVec(rng, n*6)
+	for trial := 0; trial < 40; trial++ {
+		var kidx []int
+		for j := 0; j < n; j++ {
+			if rng.Bool(0.4) || j == trial%n {
+				kidx = append(kidx, j)
+			}
+		}
+		observed := make([]float64, n)
+		for j := range observed {
+			observed[j] = rng.Range(0, 100)
+		}
+		for _, fixed := range []bool{false, true} {
+			want, _ := referenceFoldIn(qdata, 6, kidx, observed, lr, reg, fixed)
+			got := make([]float64, 6)
+			foldSolve6(got, qdata, kidx, observed, lr, reg, fixed)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("trial %d fixed=%v: u[%d] = %v, generic %v", trial, fixed, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

@@ -12,10 +12,7 @@ func WeightedMean(u, sigma []float64) float64 {
 		num += sigma[i] * u[i]
 		den += sigma[i]
 	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
+	return ratio(num, den)
 }
 
 // WeightedCov returns the σ-weighted covariance of a and b:
@@ -30,10 +27,7 @@ func WeightedCov(a, b, sigma []float64) float64 {
 		num += sigma[i] * (a[i] - ma) * (b[i] - mb)
 		den += sigma[i]
 	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
+	return ratio(num, den)
 }
 
 // WeightedPearson implements Eq. 1 of the paper: the Pearson correlation of
@@ -41,17 +35,21 @@ func WeightedCov(a, b, sigma []float64) float64 {
 // similarity concepts count more. It returns a value in [-1, 1]; 0 when
 // either profile has zero weighted variance.
 func WeightedPearson(a, b, sigma []float64) float64 {
-	va := WeightedCov(a, a, sigma)
-	vb := WeightedCov(b, b, sigma)
+	return correlation(WeightedCov(a, b, sigma), WeightedCov(a, a, sigma), WeightedCov(b, b, sigma))
+}
+
+// correlation turns a weighted covariance and the two weighted variances
+// into Eq. 1's coefficient: 0 when either variance is not positive,
+// otherwise cov/√(va·vb) kept strictly within [-1, 1]. Huge finite inputs
+// can overflow both variances to +Inf, making the ratio Inf/Inf = NaN —
+// which would slip through the clamps — so NaN degrades to the same "no
+// signal" answer as zero variance. Pressure-scale data ([0, 100]) never
+// gets near overflow.
+func correlation(cov, va, vb float64) float64 {
 	if va <= 0 || vb <= 0 {
 		return 0
 	}
-	r := WeightedCov(a, b, sigma) / math.Sqrt(va*vb)
-	// Numerical safety: keep strictly within [-1, 1]. Huge finite inputs
-	// can overflow both covariances to +Inf, making r = Inf/Inf = NaN —
-	// which would slip through the clamps below — so NaN degrades to the
-	// same "no signal" answer as zero variance. Pressure-scale data
-	// ([0, 100]) never gets near overflow.
+	r := cov / math.Sqrt(va*vb)
 	if r != r {
 		return 0
 	}
@@ -62,6 +60,15 @@ func WeightedPearson(a, b, sigma []float64) float64 {
 		r = -1
 	}
 	return r
+}
+
+// ratio is num/den with WeightedMean's and WeightedCov's zero-weight
+// guard: 0 when den is 0.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
 }
 
 // Pearson is the classic unweighted correlation coefficient, retained for

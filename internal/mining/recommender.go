@@ -77,33 +77,31 @@ type Recommender struct {
 	complete *Completer
 	concepts [][]float64 // per-training-app concept-space coordinates
 	// centred holds the mean-centred training profiles, row-major with
-	// stride n: row i is profiles[i].Pressure - means. detect used to
-	// recompute this subtraction for every profile on every call; it is a
-	// pure function of the training set, so it is built once here.
+	// stride n: row i is profiles[i].Pressure - means. rankPrep reads it
+	// on every call; it is a pure function of the training set, so it is
+	// built once here.
 	centred []float64
 	ones    []float64 // all-ones weights for the Unweighted ablation
 	n       int       // resource count
 	scratch sync.Pool // *detectScratch
-	batch   sync.Pool // *detectBatchScratch
-}
-
-// detectBatchScratch holds the completed-observation buffers of one
-// DetectBatch call, pooled on the Recommender and regrown in place when a
-// larger batch arrives, so a service answering at a steady batch size
-// allocates nothing here beyond the returned Results.
-type detectBatchScratch struct {
-	flat  []float64   // B×n completed observations
-	dense [][]float64 // row views into flat
 }
 
 // detectScratch is the per-call working memory of one detection, pooled on
 // the Recommender so concurrent Detect calls (the parallel experiment
 // runner) each grab their own and steady-state detection performs no heap
-// allocation beyond the returned Result.
+// allocation beyond the returned Result. rankPrep fills the mask-dependent
+// fields (w, den, dev, vb); rankScan reads them for every row it scores.
 type detectScratch struct {
 	dense   []float64 // completed observation (n)
 	weights []float64 // measured-boosted weight copy (n)
+	w       []float64 // similarity weights of the current mask (n)
+	den     float64   // Σ w
+	dev     []float64 // per-profile deviation rows b − m(b;w) (profiles×n)
+	vb      []float64 // per-profile weighted variances (profiles)
 	centred []float64 // mean-centred observation (n)
+	t       []float64 // wⱼ·(aⱼ − m(a;w)) of the observation (n)
+	keys    []rankKey // ranking keys (profiles)
+	tmp     []rankKey // merge scratch of sortKeys (profiles)
 	x       []float64 // projection input (n; PureCF)
 	u       []float64 // concept-space coordinates (rank; PureCF)
 }
@@ -198,13 +196,17 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 			r.weights[j] = 1e-9
 		}
 	}
-	r.batch.New = func() any { return &detectBatchScratch{} }
-	conceptRank := len(r.svd.Sigma)
+	conceptRank, m := len(r.svd.Sigma), len(profiles)
 	r.scratch.New = func() any {
 		return &detectScratch{
 			dense:   make([]float64, n),
 			weights: make([]float64, n),
+			dev:     make([]float64, m*n),
+			vb:      make([]float64, m),
 			centred: make([]float64, n),
+			t:       make([]float64, n),
+			keys:    make([]rankKey, m),
+			tmp:     make([]rankKey, m),
 			x:       make([]float64, n),
 			u:       make([]float64, conceptRank),
 		}
@@ -319,43 +321,38 @@ func (r *Recommender) Detect(observed []float64, known []bool) *Result {
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
 	r.complete.CompleteInto(s.dense, observed, known)
-	return r.detect(s.dense, known, s)
+	r.rankPrep(s, known)
+	return r.rankScan(s, s.dense)
 }
 
 // DetectBatch runs Detect over a batch of observations that share one known
-// mask — the shape of a multi-victim accuracy sweep, where every victim is
-// probed on the same resources. The missing entries of all rows are
-// recovered in one fused fold-in pass (CompleteBatchInto) and the ranking
-// stage reuses a single centred-profile scratch across the batch, so N
-// detections cost one batched completion plus N rankings instead of N of
-// each. The completed-observation buffers are pooled on the Recommender, so
-// at a steady batch size the only allocations are the returned Results.
-// Each returned Result is bit-identical to Detect(observed[b], known)
-// (pinned by TestDetectBatchBitExact).
+// mask — the shape of a multi-victim accuracy sweep, or of a serving-plane
+// flush grouped by mask. Each row is completed by the solo CompleteInto;
+// what the batch shares is the ranking prep (rankPrep), which depends only
+// on the mask, so N detections cost one prep plus N completions and N
+// scans. Every row's length is checked before any row is answered. The
+// working buffers are pooled, so the only allocations are the returned
+// slice and each row's Result. Each returned Result is bit-identical to
+// Detect(observed[b], known) (pinned by TestDetectBatchBitExact).
 func (r *Recommender) DetectBatch(observed [][]float64, known []bool) []*Result {
 	out := make([]*Result, len(observed))
 	if len(observed) == 0 {
 		return out
 	}
-	bs := r.batch.Get().(*detectBatchScratch)
-	defer r.batch.Put(bs)
-	if cap(bs.flat) < len(observed)*r.n {
-		bs.flat = make([]float64, len(observed)*r.n)
+	if len(known) != r.n {
+		panic("mining: DetectBatch mask length != ResourceCount()")
 	}
-	if cap(bs.dense) < len(observed) {
-		bs.dense = make([][]float64, 0, len(observed))
+	for _, o := range observed {
+		if len(o) != r.n {
+			panic("mining: DetectBatch row length != ResourceCount()")
+		}
 	}
-	flat := bs.flat[:len(observed)*r.n]
-	dense := bs.dense[:0]
-	for b := range observed {
-		dense = append(dense, flat[b*r.n:(b+1)*r.n])
-	}
-	bs.dense = dense
-	r.complete.CompleteBatchInto(dense, observed, known)
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
-	for b := range dense {
-		out[b] = r.detect(dense[b], known, s)
+	r.rankPrep(s, known)
+	for b, o := range observed {
+		r.complete.CompleteInto(s.dense, o, known)
+		out[b] = r.rankScan(s, s.dense)
 	}
 	return out
 }
@@ -368,27 +365,6 @@ const measuredBoost = 4.0
 // weighted RMS pressure distance between two profiles (in pressure
 // percentage points).
 const proximityScale = 25.0
-
-// proximity returns exp(-wrmse/proximityScale) for the weighted RMS
-// distance between two profiles; weights nil means uniform.
-//
-//bolt:hotpath
-func proximity(a, b, weights []float64) float64 {
-	num, den := 0.0, 0.0
-	for j := range a {
-		w := 1.0
-		if weights != nil {
-			w = weights[j]
-		}
-		d := a[j] - b[j]
-		num += w * d * d
-		den += w
-	}
-	if den == 0 {
-		return 1
-	}
-	return math.Exp(-math.Sqrt(num/den) / proximityScale)
-}
 
 // DetectDense ranks a fully observed pressure vector against the training
 // set without the completion step.
@@ -405,107 +381,213 @@ func proximity(a, b, weights []float64) float64 {
 func (r *Recommender) DetectDense(pressure []float64) *Result {
 	s := r.scratch.Get().(*detectScratch)
 	defer r.scratch.Put(s)
-	return r.detect(pressure, nil, s)
+	r.rankPrep(s, nil)
+	return r.rankScan(s, pressure)
 }
 
-// detect ranks pressure against the training profiles; known (optional)
-// marks which entries were directly measured and should dominate the match.
-// s supplies the working buffers; only the returned Result is allocated.
+// rankPrep is the per-mask half of the ranking: everything that depends on
+// the similarity weights but not on the query. The weights are the Eq. 1
+// weights, ×measuredBoost on the entries known marks as measured (known
+// may be nil), or all ones for the Unweighted ablation. For each training
+// profile b (mean-centred) it stores the weighted mean's deviation row
+// b − m(b;w) and the weighted variance cov(b,b;w), with exactly the
+// operation sequence of WeightedMean and WeightedCov, so the scan's
+// coefficients are bit-identical to WeightedPearson's. PureCF ranks by
+// cosine and needs none of it.
 //
 //bolt:hotpath
-func (r *Recommender) detect(pressure []float64, known []bool, s *detectScratch) *Result {
+func (r *Recommender) rankPrep(s *detectScratch, known []bool) {
+	if r.cfg.PureCF {
+		return
+	}
+	w := r.weights
+	switch {
+	case r.cfg.Unweighted:
+		w = r.ones
+	case known != nil:
+		if len(known) != r.n {
+			panic("mining: known mask length != ResourceCount()")
+		}
+		w = s.weights
+		copy(w, r.weights)
+		for j, k := range known {
+			if k {
+				w[j] *= measuredBoost
+			}
+		}
+	}
+	n := r.n
+	w = w[:n:n]
+	den := 0.0
+	for _, x := range w {
+		den += x
+	}
+	s.w, s.den = w, den
+	for i := range r.profiles {
+		b := r.centred[i*n : (i+1)*n : (i+1)*n]
+		dev := s.dev[i*n : (i+1)*n : (i+1)*n]
+		num := 0.0
+		for j, x := range b {
+			num += w[j] * x
+		}
+		mb := ratio(num, den)
+		v := 0.0
+		for j, x := range b {
+			d := x - mb
+			dev[j] = d
+			v += w[j] * d * d
+		}
+		s.vb[i] = ratio(v, den)
+	}
+}
+
+// rankScan is the per-row half of the ranking: it scores pressure against
+// every training profile from the prep rankPrep left in s and returns the
+// Result. The query's centred mean, variance and tⱼ = wⱼ·(aⱼ − m(a;w)) are
+// computed once; each profile then costs one pass that accumulates the
+// covariance Σ tⱼ·devᵢⱼ and the weighted squared distance Σ wⱼ·dⱼ·dⱼ side
+// by side. Every accumulator keeps the order and grouping of
+// WeightedMean and WeightedCov, so each similarity is bit-identical to
+// WeightedPearson(a, b, w) times the proximity factor computed profile by
+// profile (pinned by TestDetectMatchesReference). Only the returned Result
+// is allocated.
+//
+//bolt:hotpath
+func (r *Recommender) rankScan(s *detectScratch, pressure []float64) *Result {
 	if len(pressure) != r.n {
-		panic("mining: DetectDense length mismatch")
+		panic("mining: pressure vector length != ResourceCount()")
 	}
 	res := &Result{ //bolt:nolint hotalloc -- the escaping Result is the documented output; TestDetectAllocationBudget pins Detect at exactly these 3 allocs
 		Pressure: append([]float64(nil), pressure...), //bolt:nolint hotalloc -- alloc 2 of 3 in the pinned budget: the caller keeps Pressure after scratch is recycled
 		Matches:  make([]Match, len(r.profiles)),      //bolt:nolint hotalloc -- alloc 3 of 3 in the pinned budget: the caller keeps Matches after scratch is recycled
 	}
-	weights := r.weights
-	if known != nil {
-		weights = s.weights
-		copy(weights, r.weights)
-		for j, k := range known {
-			if k {
-				weights[j] *= measuredBoost
-			}
-		}
-	}
-	var u []float64
+	keys := s.keys[:len(r.profiles)]
+	n := r.n
+	p := pressure[:n:n]
 	if r.cfg.PureCF {
-		copy(s.x, pressure)
 		for j := range s.x {
-			s.x[j] -= r.means[j]
+			s.x[j] = p[j] - r.means[j]
 		}
 		r.svd.ProjectInto(s.u, s.x)
-		u = s.u
-	}
-	// Centre by the training column means so that magnitude differences
-	// become pattern differences: Pearson alone is scale-invariant and
-	// cannot tell two profiles of the same shape at different intensities
-	// apart, but "above-average LLC" vs "below-average LLC" anti-correlate
-	// once centred — the same effect Eq. 1 gets from correlating in the
-	// concept space of the centred SVD.
-	centred := s.centred
-	for j := range centred {
-		centred[j] = pressure[j] - r.means[j]
-	}
-	// The content-based stage also exploits the contextual information the
-	// correlation discards — how close the two profiles are in absolute
-	// pressure. Two workloads with proportionally similar shapes but very
-	// different intensities are not the same application; the proximity
-	// factor (in (0, 1]) suppresses such matches while leaving near-copies
-	// untouched.
-	for i, p := range r.profiles {
-		prof := r.centred[i*r.n : (i+1)*r.n]
-		var sim float64
-		switch {
-		case r.cfg.PureCF:
-			sim = CosineSimilarity(u, r.concepts[i])
-		case r.cfg.Unweighted:
-			// Pearson == WeightedPearson under all-ones weights; using the
-			// precomputed ones avoids Pearson's per-call allocation.
-			sim = WeightedPearson(centred, prof, r.ones) * proximity(pressure, p.Pressure, nil)
-		default:
-			sim = WeightedPearson(centred, prof, weights) * proximity(pressure, p.Pressure, weights)
+		for i := range keys {
+			keys[i] = rankKey{CosineSimilarity(s.u, r.concepts[i]), i}
 		}
-		res.Matches[i] = Match{Label: p.Label, Class: p.Class, Similarity: sim}
-	}
-	sortMatches(res.Matches)
-	if r.cfg.PureCF {
-		// Pure collaborative filtering cannot assign labels (§3.2): it only
-		// clusters. Blank the labels so downstream accuracy metrics reflect
-		// the paper's argument that CF alone is insufficient.
-		for i := range res.Matches {
-			res.Matches[i].Label = ""
+	} else {
+		// Centre by the training column means so that magnitude
+		// differences become pattern differences: Pearson alone is
+		// scale-invariant and cannot tell two profiles of the same shape
+		// at different intensities apart, but "above-average LLC" vs
+		// "below-average LLC" anti-correlate once centred — the same
+		// effect Eq. 1 gets from correlating in the concept space of the
+		// centred SVD.
+		w, den := s.w, s.den
+		a, t := s.centred[:n:n], s.t[:n:n]
+		num := 0.0
+		for j := range a {
+			a[j] = p[j] - r.means[j]
+			num += w[j] * a[j]
 		}
+		ma := ratio(num, den)
+		v := 0.0
+		for j, x := range a {
+			d := x - ma
+			t[j] = w[j] * d
+			v += t[j] * d
+		}
+		va := ratio(v, den)
+		// The content-based stage also exploits the contextual information
+		// the correlation discards — how close the two profiles are in
+		// absolute pressure. Two workloads with proportionally similar
+		// shapes but very different intensities are not the same
+		// application; the proximity factor exp(−wrms/proximityScale), in
+		// (0, 1], suppresses such matches while leaving near-copies
+		// untouched.
+		for i := range keys {
+			dev := s.dev[i*n : (i+1)*n : (i+1)*n]
+			b := r.profiles[i].Pressure[:n:n]
+			cov, dist := 0.0, 0.0
+			for j, tj := range t {
+				cov += tj * dev[j]
+				d := p[j] - b[j]
+				dist += w[j] * d * d
+			}
+			prox := 1.0
+			if den != 0 {
+				prox = math.Exp(-math.Sqrt(dist/den) / proximityScale)
+			}
+			keys[i] = rankKey{correlation(ratio(cov, den), va, s.vb[i]) * prox, i}
+		}
+	}
+	sorted := sortKeys(keys, s.tmp[:len(keys)])
+	for k, key := range sorted {
+		prof := &r.profiles[key.idx]
+		m := Match{Label: prof.Label, Class: prof.Class, Similarity: key.sim}
+		if r.cfg.PureCF {
+			// Pure collaborative filtering cannot assign labels (§3.2): it
+			// only clusters. Blank the labels so downstream accuracy
+			// metrics reflect the paper's argument that CF alone is
+			// insufficient.
+			m.Label = ""
+		}
+		res.Matches[k] = m
 	}
 	return res
 }
 
-// sortMatches orders matches by decreasing similarity, stably. A stable
-// sort's output is uniquely determined by the comparator, so this binary
-// insertion sort produces exactly the ordering sort.SliceStable used to —
-// without the interface conversion and closure allocations, which were the
-// last per-call allocations on the detection hot path. Training sets are a
-// few hundred profiles, well inside insertion sort's comfort zone.
+// rankKey is one training profile's score in the ranking: pointer-free, so
+// sorting moves no strings and costs no GC write barriers.
+type rankKey struct {
+	sim float64
+	idx int
+}
+
+// sortRun is the length of the runs sortKeys insertion-sorts before merging.
+const sortRun = 16
+
+// sortKeys orders keys by decreasing similarity, stably: insertion-sorted
+// runs of sortRun keys, then bottom-up merges that take the left key on
+// a >= tie, ping-ponging between keys and tmp (same length). It returns
+// whichever of the two holds the result. A stable sort's output is
+// uniquely determined by its comparison, so any stable sort by decreasing
+// similarity gives this order (TestSortKeysMatchesReference checks it
+// against a binary insertion sort). That holds only while the comparison
+// is a total preorder, i.e. no key is NaN, and none is: serve rejects
+// non-finite pressure at submit, sim clamps every pressure it produces to
+// [0, 100], and correlation maps a NaN coefficient to 0. A NaN key would
+// still leave a permutation of the keys, in an unspecified order.
 //
 //bolt:hotpath
-func sortMatches(m []Match) {
-	for i := 1; i < len(m); i++ {
-		x := m[i]
-		// Binary search for the first position whose similarity is strictly
-		// below x's: equal keys stay in input order (stability).
-		lo, hi := 0, i
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if m[mid].Similarity >= x.Similarity {
-				lo = mid + 1
-			} else {
-				hi = mid
+func sortKeys(keys, tmp []rankKey) []rankKey {
+	n := len(keys)
+	for lo := 0; lo < n; lo += sortRun {
+		hi := min(lo+sortRun, n)
+		for i := lo + 1; i < hi; i++ {
+			x := keys[i]
+			j := i
+			for ; j > lo && keys[j-1].sim < x.sim; j-- {
+				keys[j] = keys[j-1]
 			}
+			keys[j] = x
 		}
-		copy(m[lo+1:i+1], m[lo:i])
-		m[lo] = x
 	}
+	src, dst := keys, tmp[:n]
+	for width := sortRun; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for ; i < mid && j < hi; k++ {
+				if src[i].sim >= src[j].sim {
+					dst[k] = src[i]
+					i++
+				} else {
+					dst[k] = src[j]
+					j++
+				}
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	return src
 }

@@ -1,8 +1,9 @@
 // Package serve promotes detection from batch experiments to a long-running
 // service. A Server answers profile-only detection queries (an observed
 // victim pressure vector plus its known mask) from an immutable trained
-// detector snapshot, batching concurrent requests into single fused
-// DetectBatch passes.
+// detector snapshot, batching concurrent requests into DetectBatch calls:
+// each request is completed on its own, and the requests of a batch that
+// share a known mask share one ranking prep.
 //
 // Three contracts define the serving plane (see DESIGN.md "Serving plane"):
 //
@@ -51,9 +52,9 @@ type Config struct {
 	// queue. Each worker forms and answers one batch at a time, so this
 	// bounds the number of concurrent DetectBatch passes. 0 means 1.
 	Workers int
-	// MaxBatch is the most requests a worker folds into one flush. The
-	// fused fold-in amortises its per-sweep work across the batch, so
-	// larger batches trade a little latency for throughput. 0 means 64.
+	// MaxBatch is the most requests a worker folds into one flush. A mask
+	// group shares its ranking prep across the batch, so larger batches
+	// trade a little latency for throughput. 0 means 64.
 	MaxBatch int
 	// QueueDepth bounds the request queue; a full queue sheds load with
 	// ErrBusy. 0 means 4×MaxBatch.
@@ -107,8 +108,8 @@ type Response struct {
 	// increases by one per Swap, starting at 1 for the construction-time
 	// detector.
 	Snapshot uint64
-	// Batch is how many requests shared this answer's fused DetectBatch
-	// pass (the mask group's size, not the whole flush).
+	// Batch is how many requests shared this answer's DetectBatch call
+	// (the mask group's size, not the whole flush).
 	Batch int
 	// Dropped and Corrupted count the fault classes injected into this
 	// request's profile before detection (always 0 with faults disabled).
@@ -120,8 +121,8 @@ type Stats struct {
 	Served    uint64 // requests answered
 	Shed      uint64 // requests dropped with ErrBusy
 	Rejected  uint64 // requests failing validation
-	Batches   uint64 // fused DetectBatch passes
-	MaxBatch  uint64 // largest fused pass observed
+	Batches   uint64 // DetectBatch calls (one per mask group)
+	MaxBatch  uint64 // largest DetectBatch call observed
 	Dropped   uint64 // fault plane: entries dropped from live requests
 	Corrupted uint64 // fault plane: entries corrupted in live requests
 	Swaps     uint64 // snapshot swaps since construction
@@ -401,7 +402,7 @@ func (s *Server) gather(batch *[]*call, timer *time.Timer) bool {
 // flush answers one gathered batch: load the snapshot (the RCU read), run
 // the fault plane over each request, then group requests by identical known
 // mask — DetectBatch requires a shared mask — and answer each group in one
-// fused pass. Groups form in arrival order and members keep arrival order
+// DetectBatch call. Groups form in arrival order and members keep arrival order
 // within a group, so the flush is deterministic in its input sequence.
 func (s *Server) flush(batch []*call, plane *fault.Plane, members *[]*call, obs *[][]float64) {
 	sn := s.snap.Load()

@@ -1,8 +1,8 @@
 // Wire protocol: newline-delimited JSON over a stream socket, one request
 // per line, one response per line, answered in request order per
 // connection. Server-side batching happens across connections (and across
-// the queue generally), so a fleet of synchronous clients still fills fused
-// DetectBatch passes. JSON encodes float64 with the shortest representation
+// the queue generally), so a fleet of synchronous clients still fills
+// DetectBatch calls that share their ranking prep. JSON encodes float64 with the shortest representation
 // that round-trips exactly, so the bit-exactness contract survives the
 // wire: a pressure or similarity value decoded by the client is the same
 // float the detector produced.
