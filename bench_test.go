@@ -13,6 +13,7 @@ package main_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -42,7 +43,7 @@ func runExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last = e.Run(benchSeed)
+		last = exper.Run([]exper.Experiment{e}, exper.Options{Seed: benchSeed})[0].Report
 	}
 	b.StopTimer()
 	keys := make([]string, 0, len(last.Metrics))
@@ -153,8 +154,8 @@ func ablationRun(b *testing.B, cfg core.Config) {
 	for i := 0; i < b.N; i++ {
 		det := core.Train(workload.TrainingSpecs(benchSeed), cfg)
 		res := exper.RunControlled(exper.ControlledConfig{
-			Seed: benchSeed, Servers: 20, Victims: 54, Detector: det,
-		})
+			Servers: 20, Victims: 54, Detector: det,
+		}, exper.Options{Seed: benchSeed, EpisodeWorkers: runtime.GOMAXPROCS(0)})
 		acc = res.Accuracy()
 	}
 	b.StopTimer()
@@ -387,7 +388,7 @@ func benchRunner(b *testing.B, parallel int) {
 	exps := exper.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exper.Run(exps, benchSeed, parallel)
+		exper.Run(exps, exper.Options{Seed: benchSeed, Parallel: parallel})
 	}
 }
 
@@ -411,9 +412,6 @@ func BenchmarkSuite(b *testing.B) {
 // so Fleet/*/workersN sweeps measure pure scheduling.
 func benchFleetTick(b *testing.B, servers, workers int) {
 	b.Helper()
-	fleet.SetShardWorkers(workers)
-	defer fleet.SetShardWorkers(0)
-
 	rng := stats.NewRNG(benchSeed)
 	cl := cluster.New(servers, sim.ServerConfig{}, cluster.LeastLoaded{})
 	mk := []func(*stats.RNG, int) workload.Spec{
@@ -430,6 +428,7 @@ func benchFleetTick(b *testing.B, servers, workers int) {
 		}
 	}
 	engine := fleet.NewEngine(cl, rng.Split())
+	engine.Workers = workers
 	monitor := func(w *fleet.World) {
 		r := sim.Resource(w.RNG.Intn(sim.NumResources))
 		p := w.Server.ObservedPressure(nil, r, w.Tick) +

@@ -11,6 +11,9 @@
 // repeating an ID in -run is rejected, since the suite renders each
 // experiment exactly once per run.
 //
+// The flags fill one exper.Options value, which exper.Run hands to every
+// experiment; nothing else configures a run.
+//
 // Experiments run concurrently (-parallel, default GOMAXPROCS), and inside
 // one experiment independent episodes run concurrently too (-epworkers,
 // default GOMAXPROCS). Reports are buffered and emitted in paper order and
@@ -18,13 +21,14 @@
 // byte-identical for a given seed at every -parallel × -epworkers
 // combination. Timing goes to stderr.
 //
-// The fleet experiment additionally ticks its simulated datacenter on a
-// sharded worker pool (-shardworkers, default GOMAXPROCS); per-server RNG
-// pre-splitting and the server-id-ordered tick barrier keep stdout
-// byte-identical at every -shardworkers level too. -fleet pins the fleet's
-// server count (e.g. 4096 for the ~20k-VM datacenter run) and -defence
-// selects the defencesweep experiment's placement-policy ladder; unlike
-// the worker knobs these change the experiment itself, not its schedule.
+// The fleet and defencesweep experiments additionally tick their simulated
+// datacenter on a sharded worker pool (-shardworkers, default GOMAXPROCS);
+// per-server RNG pre-splitting and the server-id-ordered tick barrier keep
+// stdout byte-identical at every -shardworkers level too. -fleet pins the
+// fleet's server count (e.g. 4096 for the ~20k-VM datacenter run),
+// -defence selects the defencesweep experiment's placement-policy ladder
+// and -faultrate injects measurement faults; unlike the worker knobs these
+// change the experiments themselves, not their schedule.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the
 // standard `go tool pprof` format); the memory profile is taken after a
@@ -42,7 +46,6 @@ import (
 
 	"bolt/internal/exper"
 	"bolt/internal/fault"
-	"bolt/internal/fleet"
 )
 
 // main is a thin wrapper: all work happens in run so that its defers
@@ -77,13 +80,19 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "boltbench: -faultrate %g outside [0, 1]\n", *faultRate)
 		return 2
 	}
-	// Installed once, before any experiment runs (the deterministic-suite
-	// contract forbids flipping either knob mid-run).
-	fault.SetDefault(fault.Config{Rate: *faultRate})
-	exper.SetEpisodeWorkers(*epworkers)
-	fleet.SetShardWorkers(*shardworkers)
-	exper.SetFleetServers(*fleetSize)
-	exper.SetDefencePolicies(*defence)
+	opts := exper.Options{
+		Seed:           *seed,
+		Parallel:       *parallel,
+		EpisodeWorkers: *epworkers,
+		ShardWorkers:   *shardworkers,
+		Faults:         fault.Config{Rate: *faultRate},
+		FleetServers:   *fleetSize,
+	}
+	for _, p := range strings.Split(*defence, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			opts.Defence = append(opts.Defence, p)
+		}
+	}
 
 	if *list {
 		for _, e := range exper.All() {
@@ -157,7 +166,7 @@ func run() (code int) {
 	}
 
 	start := time.Now()
-	results := exper.Run(selected, *seed, *parallel)
+	results := exper.Run(selected, opts)
 
 	if *asJSON {
 		reports := make([]*exper.Report, len(results))
@@ -175,7 +184,7 @@ func run() (code int) {
 		r.Report.Render(os.Stdout)
 		fmt.Fprintf(os.Stderr, "[%s took %.1fs]\n", r.Experiment.ID, r.Elapsed.Seconds())
 	}
-	fmt.Fprintf(os.Stderr, "boltbench: %d experiment(s) in %.1fs (seed %d, parallel %d, epworkers %d)\n",
-		len(selected), time.Since(start).Seconds(), *seed, *parallel, exper.EpisodeWorkers())
+	fmt.Fprintf(os.Stderr, "boltbench: %d experiment(s) in %.1fs (seed %d, parallel %d, epworkers %d; 0 = GOMAXPROCS)\n",
+		len(selected), time.Since(start).Seconds(), *seed, *parallel, *epworkers)
 	return 0
 }

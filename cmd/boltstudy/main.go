@@ -26,6 +26,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "boltstudy: experiment %s not registered\n", id)
 			os.Exit(1)
 		}
-		e.Run(*seed).Render(os.Stdout)
+		e.Run(exper.Options{Seed: *seed}).Render(os.Stdout)
 	}
 }

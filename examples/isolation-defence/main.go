@@ -26,11 +26,10 @@ func main() {
 	labels := isolation.StackLabels()
 	for step, cfg := range isolation.Stack(isolation.Containers) {
 		res := exper.RunControlled(exper.ControlledConfig{
-			Seed:      seed,
 			Servers:   12,
 			Victims:   32,
 			ServerCfg: cfg.ServerConfig(8, 2),
-		})
+		}, exper.Options{Seed: seed})
 		perf := "-"
 		util := "-"
 		if p := cfg.PerfPenalty(); p > 1 {
@@ -43,11 +42,10 @@ func main() {
 	}
 
 	coreOnly := exper.RunControlled(exper.ControlledConfig{
-		Seed:      seed,
 		Servers:   12,
 		Victims:   32,
 		ServerCfg: isolation.CoreIsolationOnly(isolation.Containers).ServerConfig(8, 2),
-	})
+	}, exper.Options{Seed: seed})
 	fmt.Printf("%-28s  %8.0f%%  %12s  %s\n",
 		"core isolation ALONE", coreOnly.Accuracy(), "+34%", "(uncore still leaks)")
 

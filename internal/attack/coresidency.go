@@ -3,6 +3,7 @@ package attack
 import (
 	"bolt/internal/cluster"
 	"bolt/internal/core"
+	"bolt/internal/fault"
 	"bolt/internal/latency"
 	"bolt/internal/probe"
 	"bolt/internal/sim"
@@ -22,6 +23,9 @@ type CoResidencyConfig struct {
 	LatencyRatio float64
 	// BurstIntensity is the sender's contention intensity; 0 means 90.
 	BurstIntensity float64
+	// Faults configures fault injection on every sender's measurements;
+	// the zero value injects nothing.
+	Faults fault.Config
 }
 
 func (c CoResidencyConfig) withDefaults() CoResidencyConfig {
@@ -92,7 +96,7 @@ func (a *CoResidency) Run(cfg CoResidencyConfig, victimVMs int, start sim.Tick) 
 	var senders []placed
 	for i, h := range hosts {
 		adv := probe.NewAdversary("coresidency-sender-"+string(rune('a'+i)), cfg.SenderVCPUs,
-			probe.Config{}, a.RNG.Split())
+			probe.Config{Faults: cfg.Faults}, a.RNG.Split())
 		if err := a.Cluster.Servers[h].Place(adv.VM); err != nil {
 			continue // host full: this sender is wasted, as in a real launch
 		}

@@ -78,6 +78,10 @@ func (c *Cluster) Place(vm *sim.VM, t sim.Tick) (*sim.Server, error) {
 // indexed fast path answers in O(1); a stale or missing entry (a VM placed
 // or removed directly on a server) falls back to the scan and repairs the
 // index.
+//
+// HostOf may write the index and reads every server's VM table, so it is a
+// write to the whole cluster: never call it inside a fan-out body unless
+// that body owns the cluster outright.
 func (c *Cluster) HostOf(id string) *sim.Server {
 	if s, ok := c.byVM[id]; ok && s.Lookup(id) != nil {
 		return s

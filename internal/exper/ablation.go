@@ -6,7 +6,6 @@ import (
 	"bolt/internal/core"
 	"bolt/internal/mining"
 	"bolt/internal/trace"
-	"bolt/internal/workload"
 )
 
 // Ablations measures the design choices DESIGN.md calls out:
@@ -17,19 +16,18 @@ import (
 //  2. weighted vs unweighted Pearson correlation (Eq. 1's σ weights);
 //  3. the 90%-energy rank-truncation rule, swept over retained energy;
 //  4. shutter profiling on vs off for multi-tenant uncore-only hosts.
-func Ablations(seed uint64) *Report {
+func Ablations(o Options) *Report {
 	rep := newReport("ablation", "Design ablations")
 	tb := trace.NewTable("Ablation: controlled-experiment accuracy per variant",
 		"Variant", "Accuracy", "Note")
 
 	run := func(cfg core.Config, servers, victims int) float64 {
-		det := core.TrainCached(workload.TrainingSpecs(seed), cfg)
+		det := o.train(cfg)
 		res := RunControlled(ControlledConfig{
-			Seed:     seed,
 			Servers:  servers,
 			Victims:  victims,
 			Detector: det,
-		})
+		}, o)
 		return res.Accuracy()
 	}
 

@@ -36,10 +36,10 @@ func attackPlanConfig() core.Config {
 // over time for a memcached victim under Bolt's detection-guided DoS
 // attack vs a naïve CPU-saturating DoS, with a live-migration defence that
 // triggers on sustained >70% CPU utilisation.
-func Figure13(seed uint64) *Report {
+func Figure13(o Options) *Report {
 	rep := newReport("fig13", "DoS timeline: Bolt vs naive, with migration defence")
-	rng := stats.NewRNG(seed ^ 0xf1613)
-	det := core.TrainCached(workload.TrainingSpecs(seed), attackPlanConfig())
+	rng := stats.NewRNG(o.Seed ^ 0xf1613)
+	det := o.train(attackPlanConfig())
 
 	type timeline struct {
 		p99, cpu []float64
@@ -54,7 +54,7 @@ func Figure13(seed uint64) *Report {
 		if err != nil {
 			panic(err)
 		}
-		adv := probe.NewAdversary("adv", 4, probe.Config{}, rng.Split())
+		adv := probe.NewAdversary("adv", 4, probe.Config{Faults: o.Faults}, rng.Split())
 		if err := host.Place(adv.VM); err != nil {
 			panic(err)
 		}
@@ -155,10 +155,10 @@ func Figure13(seed uint64) *Report {
 // DoSImpact reproduces the §5.1 aggregate: the detection-guided DoS run
 // against each controlled-experiment victim, reporting execution-time
 // dilation for batch victims and p99 inflation for interactive ones.
-func DoSImpact(seed uint64) *Report {
+func DoSImpact(o Options) *Report {
 	rep := newReport("dosimpact", "DoS aggregate impact")
-	rng := stats.NewRNG(seed ^ 0xd05)
-	det := core.TrainCached(workload.TrainingSpecs(seed), attackPlanConfig())
+	rng := stats.NewRNG(o.Seed ^ 0xd05)
+	det := o.train(attackPlanConfig())
 
 	interactive := map[string]bool{
 		"memcached": true, "redis": true, "webserver": true,
@@ -166,7 +166,7 @@ func DoSImpact(seed uint64) *Report {
 	}
 
 	var execSlow, tailFactors []float64
-	victims := workload.VictimSpecs(seed, 108)
+	victims := workload.VictimSpecs(o.Seed, 108)
 	for i, spec := range victims {
 		s := sim.NewServer("s0", sim.ServerConfig{})
 		spec.Jitter = 0
@@ -175,7 +175,7 @@ func DoSImpact(seed uint64) *Report {
 		if err := s.Place(vm); err != nil {
 			panic(err)
 		}
-		adv := probe.NewAdversary("adv", 4, probe.Config{}, rng.Split())
+		adv := probe.NewAdversary("adv", 4, probe.Config{Faults: o.Faults}, rng.Split())
 		if err := s.Place(adv.VM); err != nil {
 			panic(err)
 		}
@@ -225,10 +225,10 @@ const scoutIterations = 6
 // helper's target (the paper's requirement): mcf for the webserver and
 // Hadoop scenarios, a compute-bound benchmark for the Spark scenario where
 // the helper itself saturates the memory bandwidth mcf depends on.
-func Table2(seed uint64) *Report {
+func Table2(o Options) *Report {
 	rep := newReport("table2", "Resource-freeing attack impact")
-	rng := stats.NewRNG(seed ^ 0x7ab1e2)
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	rng := stats.NewRNG(o.Seed ^ 0x7ab1e2)
+	det := o.train(core.Config{})
 
 	tb := trace.NewTable("Table 2: RFA impact",
 		"Victim App", "Victim Perf", "Beneficiary", "Beneficiary Perf", "Target Resource")
@@ -253,7 +253,7 @@ func Table2(seed uint64) *Report {
 		if err := s.Place(victimVM); err != nil {
 			panic(err)
 		}
-		helper := probe.NewAdversary("helper", 4, probe.Config{}, rng.Split())
+		helper := probe.NewAdversary("helper", 4, probe.Config{Faults: o.Faults}, rng.Split())
 		if err := s.Place(helper.VM); err != nil {
 			panic(err)
 		}
@@ -276,7 +276,7 @@ func Table2(seed uint64) *Report {
 		if err := s.Place(&sim.VM{ID: "victim", VCPUs: 6, App: app}); err != nil {
 			panic(err)
 		}
-		adv := probe.NewAdversary("scout", 4, probe.Config{}, rng.Split())
+		adv := probe.NewAdversary("scout", 4, probe.Config{Faults: o.Faults}, rng.Split())
 		if err := s.Place(adv.VM); err != nil {
 			panic(err)
 		}
@@ -417,10 +417,10 @@ func hadoopNetBound(rng *stats.RNG) workload.Spec {
 // CoResidencyExp reproduces the §5.3 evaluation: locating a single SQL
 // server VM in a 40-node cluster that also hosts seven other SQL VMs plus
 // key-value stores and analytics.
-func CoResidencyExp(seed uint64) *Report {
+func CoResidencyExp(o Options) *Report {
 	rep := newReport("coresidency", "VM co-residency detection")
-	rng := stats.NewRNG(seed ^ 0xc07e5)
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	rng := stats.NewRNG(o.Seed ^ 0xc07e5)
+	det := o.train(core.Config{})
 
 	cl := cluster.New(40, sim.ServerConfig{}, cluster.LeastLoaded{})
 	services := map[string]*latency.Service{}
@@ -476,6 +476,7 @@ func CoResidencyExp(seed uint64) *Report {
 		result = atk.Run(attack.CoResidencyConfig{
 			Senders:     10,
 			TargetClass: vspec.Class,
+			Faults:      o.Faults,
 		}, 1, sim.Tick(attempts*20000))
 		if result.Found {
 			break

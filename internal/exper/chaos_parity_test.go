@@ -8,18 +8,6 @@ import (
 	"bolt/internal/fault"
 )
 
-// renderSuite runs the full suite at the given parallelism and returns the
-// rendered stdout form (the bytes boltbench would print).
-func renderSuite(t *testing.T, seed uint64, parallel int) []byte {
-	t.Helper()
-	results := Run(All(), seed, parallel)
-	var buf bytes.Buffer
-	for _, r := range results {
-		r.Report.Render(&buf)
-	}
-	return buf.Bytes()
-}
-
 func firstDivergence(a, b []byte) string {
 	i := 0
 	for i < len(a) && i < len(b) && a[i] == b[i] {
@@ -52,14 +40,14 @@ func TestSuiteChaosParityAtRateZero(t *testing.T) {
 	}
 	const seed = 42
 
-	// Baseline: no default fault config installed (the state of a build
-	// without the -faultrate flag ever parsed).
-	baseline := renderSuite(t, seed, 8)
+	// Baseline: no fault config at all (the state of a run without the
+	// -faultrate flag). The rate-0 runs set every other fault knob, so
+	// only the disabled rate keeps the plane out.
+	baseline := renderStdout(t, All(), Options{Seed: seed, Parallel: 8})
 
-	fault.SetDefault(fault.Config{Rate: 0})
-	defer fault.SetDefault(fault.Config{})
+	off := fault.Config{SpikeMax: 10, MaxRetries: 5, BackoffCap: 4}
 	for _, parallel := range []int{1, 2, 4, 8} {
-		got := renderSuite(t, seed, parallel)
+		got := renderStdout(t, All(), Options{Seed: seed, Parallel: parallel, Faults: off})
 		if !bytes.Equal(got, baseline) {
 			t.Fatalf("suite output with rate-0 fault plane at parallel %d diverged from no-plane baseline at %s",
 				parallel, firstDivergence(got, baseline))
@@ -74,24 +62,9 @@ func TestSuiteFaultedRunIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the faultrate experiment three times")
 	}
-	fault.SetDefault(fault.Config{Rate: 0.25})
-	defer fault.SetDefault(fault.Config{})
-
-	exps := []Experiment{}
-	for _, id := range []string{"table1", "faultrate"} {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		exps = append(exps, e)
-	}
+	exps := byIDs(t, "table1", "faultrate")
 	render := func(parallel int) []byte {
-		results := Run(exps, 42, parallel)
-		var buf bytes.Buffer
-		for _, r := range results {
-			r.Report.Render(&buf)
-		}
-		return buf.Bytes()
+		return renderStdout(t, exps, Options{Seed: 42, Parallel: parallel, Faults: fault.Config{Rate: 0.25}})
 	}
 	first := render(1)
 	for _, parallel := range []int{2, 4} {

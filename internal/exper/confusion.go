@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bolt/internal/core"
+	"bolt/internal/par"
 	"bolt/internal/probe"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
@@ -18,13 +19,13 @@ import (
 // adversary; misdetections are tallied into a class×class confusion matrix
 // and, for every miss, the dominant resources of truth and prediction are
 // compared.
-func Confusion(seed uint64) *Report {
+func Confusion(o Options) *Report {
 	rep := newReport("confusion", "What do misclassified victims get mistaken for?")
-	rng := stats.NewRNG(seed ^ 0xc04f)
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	rng := stats.NewRNG(o.Seed ^ 0xc04f)
+	det := o.train(core.Config{})
 
 	const trials = 160
-	victims := workload.VictimSpecs(seed, trials)
+	victims := workload.VictimSpecs(o.Seed, trials)
 
 	classes := map[string]int{}
 	order := []string{}
@@ -59,7 +60,7 @@ func Confusion(seed uint64) *Report {
 		trialRngs[i] = rng.Split()
 	}
 	outcomes := make([]trialOutcome, len(victims))
-	forEachEpisode(len(victims), func(i int) {
+	par.FanOut(len(victims), o.EpisodeWorkers, nil, func(i int) {
 		trng := trialRngs[i]
 		spec := victims[i]
 		s := sim.NewServer("s0", sim.ServerConfig{})
@@ -67,7 +68,7 @@ func Confusion(seed uint64) *Report {
 		if err := s.Place(&sim.VM{ID: "v", VCPUs: 3, App: app}); err != nil {
 			panic(err)
 		}
-		adv := probe.NewAdversary("bolt", 4, probe.Config{}, trng.Split())
+		adv := probe.NewAdversary("bolt", 4, probe.Config{Faults: o.Faults}, trng.Split())
 		if err := s.Place(adv.VM); err != nil {
 			panic(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"bolt/internal/core"
 	"bolt/internal/fault"
 	"bolt/internal/mining"
+	"bolt/internal/par"
 	"bolt/internal/probe"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
@@ -20,7 +21,6 @@ import (
 // on correct identification or after MaxIterations (the paper's
 // methodology for Table 1 and Figs. 6-9).
 type ControlledConfig struct {
-	Seed          uint64
 	Servers       int // 0 means 40
 	Victims       int // 0 means 108
 	AdvVCPUs      int // 0 means 4
@@ -148,17 +148,18 @@ func (cr *ControlledResult) ClassAccuracy() map[string]float64 {
 // thousand ticks) so per-host timelines read sensibly in traces.
 const episodeTickStride = 1 << 13
 
-// RunControlled executes the controlled experiment.
-func RunControlled(cfg ControlledConfig) *ControlledResult {
+// RunControlled executes the controlled experiment at seed o.Seed. Its
+// per-host episodes run o.EpisodeWorkers at a time; adversaries whose
+// cfg.ProbeCfg sets no fault config inject o.Faults.
+func RunControlled(cfg ControlledConfig, o Options) *ControlledResult {
 	cfg = cfg.withDefaults()
-	rng := stats.NewRNG(cfg.Seed ^ 0xc0417011ed)
-	return runControlled(cfg, rng)
-}
-
-func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
+	if !cfg.ProbeCfg.Faults.Enabled() {
+		cfg.ProbeCfg.Faults = o.Faults
+	}
+	rng := stats.NewRNG(o.Seed ^ 0xc0417011ed)
 	det := cfg.Detector
 	if det == nil {
-		det = core.TrainCached(workload.TrainingSpecs(cfg.Seed), cfg.DetectorCfg)
+		det = o.train(cfg.DetectorCfg)
 	}
 
 	cl := cluster.New(cfg.Servers, cfg.ServerCfg, cfg.Scheduler)
@@ -176,7 +177,7 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 
 	// Victims: disjoint-from-training specs at near-peak constant load
 	// (§3.4 provisions for peak), scheduled across the cluster.
-	specs := workload.VictimSpecs(cfg.Seed, cfg.Victims)
+	specs := workload.VictimSpecs(o.Seed, cfg.Victims)
 	type placedVictim struct {
 		spec workload.Spec
 		vm   *sim.VM
@@ -250,14 +251,18 @@ func runControlled(cfg ControlledConfig, rng *stats.RNG) *ControlledResult {
 	// independent worlds, so the tick only phases their load patterns, and
 	// a deterministic schedule is what makes the episodes parallelisable.
 	hostRecords := make([][]VictimRecord, len(hostNames))
-	forEachEpisode(len(hostNames), func(hi int) {
+	par.FanOut(len(hostNames), o.EpisodeWorkers, nil, func(hi int) {
 		hostName := hostNames[hi]
 		vs := byHost[hostName]
 		adv, ok := advs[hostName]
 		if !ok {
 			return
 		}
-		host := cl.HostOf(adv.VM.ID)
+		// The adversary was placed on this host before any victim, so the
+		// server its victims landed on is the adversary's host too.
+		// cl.HostOf would scan and repair the cluster-wide index, racing
+		// the other bodies' churn on their own servers.
+		host := vs[0].host
 		when := sim.Tick(hi) * episodeTickStride
 		correctAt := make([]int, len(vs))
 		charOK := make([]bool, len(vs))

@@ -45,10 +45,10 @@ func withoutDefenceSweep() []Experiment {
 
 // renderStdout renders the experiments exactly the way cmd/boltbench
 // writes stdout: reports in order, each through Report.Render.
-func renderStdout(t *testing.T, exps []Experiment, seed uint64, parallel int) []byte {
+func renderStdout(t *testing.T, exps []Experiment, o Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, r := range Run(exps, seed, parallel) {
+	for _, r := range Run(exps, o) {
 		r.Report.Render(&buf)
 	}
 	return buf.Bytes()
@@ -64,14 +64,14 @@ func TestSuiteGoldenWithDefenceOff(t *testing.T) {
 	}
 	const seed = 42
 	for _, parallel := range []int{1, 2, 4, 8} {
-		got := renderStdout(t, withoutDefenceSweep(), seed, parallel)
+		got := renderStdout(t, withoutDefenceSweep(), Options{Seed: seed, Parallel: parallel})
 		if sum := fmt.Sprintf("%x", md5.Sum(got)); sum != goldenSuiteStdoutMD5 {
 			t.Fatalf("parallel=%d: defence-off suite stdout md5 = %s, want golden %s",
 				parallel, sum, goldenSuiteStdoutMD5)
 		}
 	}
 
-	results := Run(withoutDefenceSweep(), seed, 4)
+	results := Run(withoutDefenceSweep(), Options{Seed: seed, Parallel: 4})
 	reports := make([]*Report, len(results))
 	for i, r := range results {
 		reports[i] = r.Report
@@ -86,8 +86,8 @@ func TestSuiteGoldenWithDefenceOff(t *testing.T) {
 
 	// Prefix property: the full suite is the defence-off suite plus
 	// appended experiments — earlier bytes must be untouched.
-	old := renderStdout(t, withoutDefenceSweep(), seed, 4)
-	full := renderStdout(t, All(), seed, 4)
+	old := renderStdout(t, withoutDefenceSweep(), Options{Seed: seed, Parallel: 4})
+	full := renderStdout(t, All(), Options{Seed: seed, Parallel: 4})
 	if !bytes.HasPrefix(full, old) {
 		t.Fatal("full suite output no longer extends the defence-off suite byte-for-byte")
 	}
@@ -100,12 +100,8 @@ func TestSuiteGoldenWithDefenceOff(t *testing.T) {
 // the cell or server counts.
 func TestDefenceSweepParityAcrossWorkers(t *testing.T) {
 	render := func(epworkers, shardworkers int) []byte {
-		SetEpisodeWorkers(epworkers)
-		fleet.SetShardWorkers(shardworkers)
-		defer SetEpisodeWorkers(0)
-		defer fleet.SetShardWorkers(0)
 		var buf bytes.Buffer
-		DefenceSweep(42).Render(&buf)
+		DefenceSweep(Options{Seed: 42, EpisodeWorkers: epworkers, ShardWorkers: shardworkers}).Render(&buf)
 		return buf.Bytes()
 	}
 	ref := render(1, 1)
@@ -113,18 +109,9 @@ func TestDefenceSweepParityAcrossWorkers(t *testing.T) {
 		t.Fatal("serial reference rendered no output")
 	}
 	for _, w := range [][2]int{{2, 1}, {8, 1}, {1, 3}, {1, 8}, {4, 4}, {3, 7}} {
-		got := render(w[0], w[1])
-		if !bytes.Equal(got, ref) {
-			i := 0
-			for i < len(got) && i < len(ref) && got[i] == ref[i] {
-				i++
-			}
-			lo := i - 60
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("epworkers=%d shardworkers=%d diverged from serial reference at byte %d: …%q…",
-				w[0], w[1], i, ref[lo:min(i+60, len(ref))])
+		if got := render(w[0], w[1]); !bytes.Equal(got, ref) {
+			t.Fatalf("epworkers=%d shardworkers=%d diverged from serial reference (b) at %s",
+				w[0], w[1], firstDivergence(got, ref))
 		}
 	}
 }
@@ -134,7 +121,7 @@ func TestDefenceSweepParityAcrossWorkers(t *testing.T) {
 // candidate precision at 256 servers, and at least one secure policy
 // drives it below 0.5.
 func TestDefenceSweepDefeatsAffinityAttack(t *testing.T) {
-	rep := DefenceSweep(42)
+	rep := DefenceSweep(Options{Seed: 42})
 	base, ok := rep.Metrics["precision_none_256"]
 	if !ok {
 		t.Fatal("baseline metric precision_none_256 missing")

@@ -18,10 +18,10 @@ import (
 // that baselines every shared resource. The paper's claim holds when the
 // CPU trigger fires on the naive attack and stays silent on Bolt's; the
 // extension shows what a provider would have to monitor to close the gap.
-func DefenceEvasion(seed uint64) *Report {
+func DefenceEvasion(o Options) *Report {
 	rep := newReport("defence", "Does Bolt's DoS evade provider-side detection?")
-	rng := stats.NewRNG(seed ^ 0xdefe)
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	rng := stats.NewRNG(o.Seed ^ 0xdefe)
+	det := o.train(core.Config{})
 
 	type cellResult struct {
 		alarmed bool
@@ -36,7 +36,7 @@ func DefenceEvasion(seed uint64) *Report {
 		if err := s.Place(victim); err != nil {
 			panic(err)
 		}
-		adv := probe.NewAdversary("adv", 4, probe.Config{}, rng.Split())
+		adv := probe.NewAdversary("adv", 4, probe.Config{Faults: o.Faults}, rng.Split())
 		if err := s.Place(adv.VM); err != nil {
 			panic(err)
 		}

@@ -3,7 +3,6 @@ package exper
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"bolt/internal/attack"
 	"bolt/internal/cluster"
@@ -11,38 +10,12 @@ import (
 	"bolt/internal/defence"
 	"bolt/internal/fleet"
 	"bolt/internal/mining"
+	"bolt/internal/par"
 	"bolt/internal/probe"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
 	"bolt/internal/trace"
-	"bolt/internal/workload"
 )
-
-// defencePolicies overrides which placement policies the defencesweep
-// experiment evaluates (the boltbench -defence knob), as a comma-separated
-// list. Empty runs the full ladder. Process-global configuration read once
-// per run, like the -fleet knob: output is byte-identical across runs at
-// any fixed value, but different values are different experiments.
-var defencePolicies atomic.Value // string
-
-// SetDefencePolicies fixes the defencesweep policy list (comma-separated
-// policy names); "" restores the default ladder.
-func SetDefencePolicies(csv string) { defencePolicies.Store(csv) }
-
-// DefencePolicies returns the configured policy list.
-func DefencePolicies() []string {
-	if v, _ := defencePolicies.Load().(string); v != "" {
-		parts := strings.Split(v, ",")
-		out := parts[:0]
-		for _, p := range parts {
-			if p = strings.TrimSpace(p); p != "" {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	return []string{"none", "pssf", "bandit-eps", "bandit-ucb", "mtd"}
-}
 
 const (
 	// defenceDetectIters bounds the attacker's follow-up detection episodes
@@ -89,13 +62,16 @@ type defenceCell struct {
 // and how much of the defence's effect lands as graceful degradation to
 // "unknown" rather than confident mislabels. Attack cost is probe ticks
 // and launch attempts; defender cost is migrations.
-func DefenceSweep(seed uint64) *Report {
+func DefenceSweep(o Options) *Report {
 	rep := newReport("defencesweep", "Attacker vs defender: secure placement against scheduler-guided co-location")
-	rng := stats.NewRNG(seed ^ 0xdef5eed)
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	rng := stats.NewRNG(o.Seed ^ 0xdef5eed)
+	det := o.train(core.Config{})
 
-	policies := DefencePolicies()
-	sizes := fleetSizes()
+	policies := o.Defence
+	if len(policies) == 0 {
+		policies = []string{"none", "pssf", "bandit-eps", "bandit-ucb", "mtd"}
+	}
+	sizes := fleetSizes(o)
 	type cellKey struct {
 		size   int
 		policy string
@@ -115,8 +91,8 @@ func DefenceSweep(seed uint64) *Report {
 		rngs[i] = rng.Split()
 	}
 	results := make([]*defenceCell, len(cells))
-	forEachEpisode(len(cells), func(i int) {
-		results[i] = runDefenceCell(rngs[i], det, cells[i].size, cells[i].policy)
+	par.FanOut(len(cells), o.EpisodeWorkers, nil, func(i int) {
+		results[i] = runDefenceCell(o, rngs[i], det, cells[i].size, cells[i].policy)
 	})
 
 	tb := trace.NewTable("Attacker vs defender: fleet size × placement policy (trickle launch strategy)",
@@ -161,7 +137,7 @@ func DefenceSweep(seed uint64) *Report {
 // trickle-strategy campaign (the stronger launcher in the fleet sweep)
 // against the policy's scheduler and hooks, then the attacker's follow-up
 // detection on whatever candidate hosts survived.
-func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy string) *defenceCell {
+func runDefenceCell(o Options, rng *stats.RNG, det *core.Detector, servers int, policy string) *defenceCell {
 	res := &defenceCell{}
 
 	// Per-cell stream order is fixed: scheduler stream, campaign stream,
@@ -187,6 +163,7 @@ func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy stri
 	}
 
 	c := attack.NewCampaign(campRNG, servers, sched, true)
+	c.Engine.Workers = o.ShardWorkers
 
 	var hooks attack.Hooks
 	var mt *defence.MovingTarget
@@ -284,7 +261,7 @@ func runDefenceCell(rng *stats.RNG, det *core.Detector, servers int, policy stri
 		// sensitivity: smaller adversaries profile slower but still work).
 		var adv *probe.Adversary
 		for _, vcpus := range []int{4, 2, 1} {
-			a := probe.NewAdversary(fmt.Sprintf("bolt-%d", hi), vcpus, probe.Config{}, detRNG.Split())
+			a := probe.NewAdversary(fmt.Sprintf("bolt-%d", hi), vcpus, probe.Config{Faults: o.Faults}, detRNG.Split())
 			if err := host.Place(a.VM); err == nil {
 				adv = a
 				break

@@ -6,9 +6,9 @@ import (
 
 	"bolt/internal/cluster"
 	"bolt/internal/core"
+	"bolt/internal/par"
 	"bolt/internal/sim"
 	"bolt/internal/trace"
-	"bolt/internal/workload"
 )
 
 // table1Classes are the application classes the paper reports individually.
@@ -16,16 +16,16 @@ var table1Classes = []string{"memcached", "hadoop", "spark", "cassandra", "specc
 
 // Table1 reproduces Table 1: detection accuracy per application class in
 // the controlled experiment, under the least-loaded and Quasar schedulers.
-func Table1(seed uint64) *Report {
+func Table1(o Options) *Report {
 	rep := newReport("table1", "Detection accuracy: least-loaded vs Quasar")
 
 	// Train once, then run the two scheduler variants on the episode pool
 	// (each derives all randomness from the shared seed independently).
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	det := o.train(core.Config{})
 	schedulers := []cluster.Scheduler{cluster.LeastLoaded{}, cluster.Quasar{}}
 	results := make([]*ControlledResult, len(schedulers))
-	forEachEpisode(len(schedulers), func(i int) {
-		results[i] = RunControlled(ControlledConfig{Seed: seed, Scheduler: schedulers[i], Detector: det})
+	par.FanOut(len(schedulers), o.EpisodeWorkers, nil, func(i int) {
+		results[i] = RunControlled(ControlledConfig{Scheduler: schedulers[i], Detector: det}, o)
 	})
 	ll, qu := results[0], results[1]
 
@@ -52,9 +52,9 @@ func Table1(seed uint64) *Report {
 // Figure6 reproduces Fig. 6: detection accuracy as a function of the
 // number of co-residents per host (left) and of the victim's dominant
 // resource (right).
-func Figure6(seed uint64) *Report {
+func Figure6(o Options) *Report {
 	rep := newReport("fig6", "Accuracy vs co-residents and dominant resource")
-	res := RunControlled(ControlledConfig{Seed: seed})
+	res := RunControlled(ControlledConfig{}, o)
 
 	// Left panel: accuracy vs number of victims on the host.
 	var xs, ys []float64
@@ -103,9 +103,9 @@ func Figure6(seed uint64) *Report {
 
 // Figure7 reproduces Fig. 7: the PDF of iterations needed until correct
 // detection, overall and split by the number of co-residents.
-func Figure7(seed uint64) *Report {
+func Figure7(o Options) *Report {
 	rep := newReport("fig7", "Iterations until detection")
-	res := RunControlled(ControlledConfig{Seed: seed})
+	res := RunControlled(ControlledConfig{}, o)
 
 	maxIter := 6
 	total := make([]int, maxIter+1)
@@ -167,9 +167,9 @@ func Figure7(seed uint64) *Report {
 
 // Figure9 reproduces Fig. 9: detection accuracy as a function of the
 // pressure the victim places on each of six representative resources.
-func Figure9(seed uint64) *Report {
+func Figure9(o Options) *Report {
 	rep := newReport("fig9", "Accuracy vs victim resource pressure")
-	res := RunControlled(ControlledConfig{Seed: seed})
+	res := RunControlled(ControlledConfig{}, o)
 
 	resources := []sim.Resource{sim.L1I, sim.LLC, sim.CPU, sim.MemCap, sim.NetBW, sim.DiskBW}
 	const binW = 20.0

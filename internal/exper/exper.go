@@ -66,16 +66,17 @@ func (r *Report) Render(w io.Writer) {
 
 // Experiment is a registered, runnable experiment.
 //
-// Run must be a pure function of the seed: every implementation derives all
-// of its randomness from its own stats.NewRNG(seed^salt) (splitting further
-// streams with RNG.Split as needed) and never touches package-level mutable
-// state, so no experiment can observe another's RNG position. That contract
-// is what lets exper.Run execute experiments concurrently and still promise
+// Run must be a pure function of its Options: every implementation derives
+// all of its randomness from its own stats.NewRNG(o.Seed^salt) (splitting
+// further streams with RNG.Split as needed), reads its configuration only
+// from o, and never touches package-level mutable state, so no experiment
+// can observe another's RNG position or configuration. That contract is
+// what lets exper.Run execute experiments concurrently and still promise
 // byte-identical reports at every parallelism level.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(seed uint64) *Report
+	Run   func(o Options) *Report
 }
 
 // All returns every experiment in paper order.

@@ -41,8 +41,8 @@ func TestByID(t *testing.T) {
 }
 
 func TestControlledDeterministic(t *testing.T) {
-	a := RunControlled(ControlledConfig{Seed: 5, Servers: 6, Victims: 16})
-	b := RunControlled(ControlledConfig{Seed: 5, Servers: 6, Victims: 16})
+	a := RunControlled(ControlledConfig{Servers: 6, Victims: 16}, Options{Seed: 5})
+	b := RunControlled(ControlledConfig{Servers: 6, Victims: 16}, Options{Seed: 5})
 	if len(a.Records) != len(b.Records) {
 		t.Fatal("same seed produced different record counts")
 	}
@@ -58,7 +58,7 @@ func TestControlledDeterministic(t *testing.T) {
 }
 
 func TestControlledAccuracyReasonable(t *testing.T) {
-	res := RunControlled(ControlledConfig{Seed: 42, Servers: 12, Victims: 32})
+	res := RunControlled(ControlledConfig{Servers: 12, Victims: 32}, Options{Seed: 42})
 	acc := res.Accuracy()
 	// The full-scale run reproduces the paper's shape at ~70-80%; a small
 	// run must at least clear a sanity floor and stay below perfection.
@@ -71,11 +71,11 @@ func TestControlledAccuracyReasonable(t *testing.T) {
 }
 
 func TestControlledSchedulers(t *testing.T) {
-	ll := RunControlled(ControlledConfig{Seed: 9, Servers: 8, Victims: 20})
+	ll := RunControlled(ControlledConfig{Servers: 8, Victims: 20}, Options{Seed: 9})
 	qu := RunControlled(ControlledConfig{
-		Seed: 9, Servers: 8, Victims: 20,
+		Servers: 8, Victims: 20,
 		Scheduler: cluster.Quasar{}, Detector: ll.Detector,
-	})
+	}, Options{Seed: 9})
 	if ll.SchedulerName != "least-loaded" || qu.SchedulerName != "quasar" {
 		t.Fatal("scheduler names not recorded")
 	}
@@ -89,7 +89,7 @@ func TestAccuracyWhereEmptyFilter(t *testing.T) {
 }
 
 func TestTable1Report(t *testing.T) {
-	rep := Table1(7)
+	rep := Table1(Options{Seed: 7})
 	if rep.ID != "table1" {
 		t.Fatal("wrong report ID")
 	}
@@ -111,7 +111,7 @@ func TestTable1Report(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	rep := Figure2(7)
+	rep := Figure2(Options{Seed: 7})
 	if len(rep.Heatmaps) != 5 {
 		t.Fatalf("Fig 2 should render 5 heatmaps, got %d", len(rep.Heatmaps))
 	}
@@ -131,7 +131,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure4Coverage(t *testing.T) {
-	rep := Figure4(7)
+	rep := Figure4(Options{Seed: 7})
 	if rep.Metrics["training_apps"] != 120 {
 		t.Fatalf("training set size %v, want 120", rep.Metrics["training_apps"])
 	}
@@ -141,7 +141,7 @@ func TestFigure4Coverage(t *testing.T) {
 }
 
 func TestFigure5SimilarityOrdering(t *testing.T) {
-	rep := Figure5(7)
+	rep := Figure5(Options{Seed: 7})
 	wc := rep.Metrics["similarity_wordcount"]
 	recSim := rep.Metrics["similarity_recommender"]
 	// The unknown job is a recommender variant: it must be substantially
@@ -152,7 +152,7 @@ func TestFigure5SimilarityOrdering(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rep := Figure6(7)
+	rep := Figure6(Options{Seed: 7})
 	a2 := rep.Metrics["accuracy_2_coresidents"]
 	a4 := rep.Metrics["accuracy_4_coresidents"]
 	if a2 == 0 {
@@ -165,7 +165,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7PDF(t *testing.T) {
-	rep := Figure7(7)
+	rep := Figure7(Options{Seed: 7})
 	total := 0.0
 	for it := 1; it <= 6; it++ {
 		total += rep.Metrics[sprintfIter(it)]
@@ -188,7 +188,7 @@ func sprintfIter(it int) string {
 }
 
 func TestFigure13Dynamics(t *testing.T) {
-	rep := Figure13(7)
+	rep := Figure13(Options{Seed: 7})
 	// Bolt's attack must stay below the 70% migration trigger and keep the
 	// victim degraded at the end; the naive attack must trip the defence
 	// and lose its victim (latency recovered).
@@ -207,7 +207,7 @@ func TestFigure13Dynamics(t *testing.T) {
 }
 
 func TestTable2AllScenariosWin(t *testing.T) {
-	rep := Table2(42)
+	rep := Table2(Options{Seed: 42})
 	for si := 0; si < 3; si++ {
 		vd := rep.Metrics[sprintfScenario("victim_degradation", si)]
 		bi := rep.Metrics[sprintfScenario("beneficiary_improvement", si)]
@@ -225,7 +225,7 @@ func sprintfScenario(prefix string, si int) string {
 }
 
 func TestCoResidencyFinds(t *testing.T) {
-	rep := CoResidencyExp(42)
+	rep := CoResidencyExp(Options{Seed: 42})
 	if rep.Metrics["found"] != 1 {
 		t.Fatal("co-residency attack should locate the victim")
 	}
@@ -238,7 +238,7 @@ func TestCoResidencyFinds(t *testing.T) {
 }
 
 func TestFigure14Monotone(t *testing.T) {
-	rep := Figure14(7)
+	rep := Figure14(Options{Seed: 7})
 	for _, platform := range []string{"baremetal", "containers", "VMs"} {
 		none := rep.Metrics[platform+"_step0"]
 		full := rep.Metrics[platform+"_step4"]
@@ -257,7 +257,7 @@ func TestFigure14Monotone(t *testing.T) {
 }
 
 func TestIsolationCostNumbers(t *testing.T) {
-	rep := IsolationCost(7)
+	rep := IsolationCost(Options{Seed: 7})
 	if rep.Metrics["perf_penalty_pct"] < 30 || rep.Metrics["perf_penalty_pct"] > 40 {
 		t.Fatalf("perf penalty %v%%, want ≈34%%", rep.Metrics["perf_penalty_pct"])
 	}
@@ -270,7 +270,7 @@ func TestIsolationCostNumbers(t *testing.T) {
 }
 
 func TestAblationOrdering(t *testing.T) {
-	rep := Ablations(42)
+	rep := Ablations(Options{Seed: 42})
 	if rep.Metrics["pure_cf"] >= rep.Metrics["baseline"] {
 		t.Fatalf("pure CF (%v) must underperform the hybrid (%v): it cannot label victims",
 			rep.Metrics["pure_cf"], rep.Metrics["baseline"])
@@ -278,7 +278,7 @@ func TestAblationOrdering(t *testing.T) {
 }
 
 func TestConfusionMissesShareResources(t *testing.T) {
-	rep := Confusion(42)
+	rep := Confusion(Options{Seed: 42})
 	if rep.Metrics["misses"] == 0 {
 		t.Skip("no misses at this seed; nothing to analyse")
 	}
@@ -291,7 +291,7 @@ func TestConfusionMissesShareResources(t *testing.T) {
 }
 
 func TestDefenceEvasion(t *testing.T) {
-	rep := DefenceEvasion(42)
+	rep := DefenceEvasion(Options{Seed: 42})
 	if rep.Metrics["bolt_evades_cpu_trigger"] != 1 {
 		t.Fatal("Bolt's attack must evade the CPU-threshold trigger (§5.1)")
 	}
@@ -304,7 +304,7 @@ func TestDefenceEvasion(t *testing.T) {
 }
 
 func TestInsightsRanking(t *testing.T) {
-	rep := Insights(7)
+	rep := Insights(Options{Seed: 7})
 	if rep.Metrics["concepts_retained"] < 3 {
 		t.Fatal("too few similarity concepts retained")
 	}
@@ -324,7 +324,7 @@ func TestInsightsRanking(t *testing.T) {
 }
 
 func TestStudyExperimentScales(t *testing.T) {
-	rep := Figure12(7)
+	rep := Figure12(Options{Seed: 7})
 	if rep.Metrics["jobs_total"] < 400 {
 		t.Fatalf("study placed only %v jobs", rep.Metrics["jobs_total"])
 	}

@@ -5,9 +5,9 @@ import (
 
 	"bolt/internal/core"
 	"bolt/internal/fault"
+	"bolt/internal/par"
 	"bolt/internal/probe"
 	"bolt/internal/trace"
-	"bolt/internal/workload"
 )
 
 // faultRates is the sweep of headline fault rates: dense in the sub-20%
@@ -28,9 +28,9 @@ var faultRates = []float64{0, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50, 0.75}
 // The rate-0 row runs with no fault plane at all (a disabled config builds
 // none), which is what the chaos-parity golden test pins: the whole suite
 // at fault rate 0 is byte-identical to a build without the fault plane.
-func FaultRate(seed uint64) *Report {
+func FaultRate(o Options) *Report {
 	rep := newReport("faultrate", "Detection accuracy vs measurement-fault rate")
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	det := o.train(core.Config{})
 
 	tb := trace.NewTable(
 		"Graceful degradation under injected measurement faults (20 servers, 54 victims, all four classes)",
@@ -41,17 +41,16 @@ func FaultRate(seed uint64) *Report {
 	unks := make([]float64, 0, n)
 	miss := make([]float64, 0, n)
 	// Rates are independent runs (each RunControlled derives every stream
-	// from cfg.Seed), so the sweep fans out on the episode pool and the
+	// from o.Seed), so the sweep fans out on the episode pool and the
 	// table/figure rows are assembled from the slots in sweep order.
 	results := make([]*ControlledResult, n)
-	forEachEpisode(n, func(i int) {
+	par.FanOut(n, o.EpisodeWorkers, nil, func(i int) {
 		results[i] = RunControlled(ControlledConfig{
-			Seed:     seed,
 			Servers:  20,
 			Victims:  54,
 			Detector: det,
 			ProbeCfg: probe.Config{Faults: fault.Config{Rate: faultRates[i]}},
-		})
+		}, o)
 	})
 	for ri, rate := range faultRates {
 		res := results[ri]

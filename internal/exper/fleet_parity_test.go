@@ -3,8 +3,6 @@ package exper
 import (
 	"bytes"
 	"testing"
-
-	"bolt/internal/fleet"
 )
 
 // TestFleetExpParityAcrossShardWorkers is the fleet-scale determinism
@@ -16,10 +14,8 @@ import (
 // decisions, probe scores, candidate judgments, the formatted table.
 func TestFleetExpParityAcrossShardWorkers(t *testing.T) {
 	render := func(workers int) []byte {
-		fleet.SetShardWorkers(workers)
-		defer fleet.SetShardWorkers(0)
 		var buf bytes.Buffer
-		FleetExp(42).Render(&buf)
+		FleetExp(Options{Seed: 42, ShardWorkers: workers}).Render(&buf)
 		return buf.Bytes()
 	}
 	ref := render(1)
@@ -27,18 +23,9 @@ func TestFleetExpParityAcrossShardWorkers(t *testing.T) {
 		t.Fatal("serial reference rendered no output")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := render(workers)
-		if !bytes.Equal(got, ref) {
-			i := 0
-			for i < len(got) && i < len(ref) && got[i] == ref[i] {
-				i++
-			}
-			lo := i - 60
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("shardworkers=%d output diverged from serial reference at byte %d: …%q…",
-				workers, i, ref[lo:min(i+60, len(ref))])
+		if got := render(workers); !bytes.Equal(got, ref) {
+			t.Fatalf("shardworkers=%d output diverged from serial reference (b) at %s",
+				workers, firstDivergence(got, ref))
 		}
 	}
 }

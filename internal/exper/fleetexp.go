@@ -2,7 +2,6 @@ package exper
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"bolt/internal/attack"
 	"bolt/internal/cluster"
@@ -10,31 +9,11 @@ import (
 	"bolt/internal/trace"
 )
 
-// fleetServers overrides the fleet sizes the fleet experiment sweeps
-// (the boltbench -fleet knob). 0 sweeps the default ladder. Like the
-// episode/shard worker knobs this is process-global configuration read
-// once per run: output is byte-identical across runs at any fixed value,
-// but different values are different experiments (a 4096-server fleet is
-// not a 64-server fleet).
-var fleetServers atomic.Int32
-
-// SetFleetServers fixes the fleet experiment's server count; n <= 0
-// restores the default sweep.
-func SetFleetServers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	fleetServers.Store(int32(n))
-}
-
-// FleetServers returns the configured fleet size override (0 = default).
-func FleetServers() int { return int(fleetServers.Load()) }
-
 // fleetSizes returns the fleet-size ladder the fleet-scale experiments
-// sweep, honouring the -fleet override.
-func fleetSizes() []int {
-	if n := FleetServers(); n > 0 {
-		return []int{n}
+// sweep, or just o.FleetServers when that is set.
+func fleetSizes(o Options) []int {
+	if o.FleetServers > 0 {
+		return []int{o.FleetServers}
 	}
 	return []int{64, 256}
 }
@@ -48,14 +27,14 @@ func fleetSizes() []int {
 // schedulers of the placement-vulnerability literature. The defencesweep
 // experiment runs the same campaigns against the secure placement
 // policies.
-func FleetExp(seed uint64) *Report {
+func FleetExp(o Options) *Report {
 	rep := newReport("fleet", "Fleet-scale scheduler-guided co-location (launch-strategy sweep)")
-	rng := stats.NewRNG(seed ^ 0xf1ee7)
+	rng := stats.NewRNG(o.Seed ^ 0xf1ee7)
 
 	tb := trace.NewTable("Launch-strategy sweep: fleet size × scheduler × launch strategy",
 		"Servers", "VMs", "Scheduler", "Strategy", "Co-res P", "Candidates", "Precision", "Probe ticks")
 
-	for _, size := range fleetSizes() {
+	for _, size := range fleetSizes(o) {
 		for _, mkSched := range []func() cluster.Scheduler{
 			func() cluster.Scheduler { return cluster.LeastLoaded{} },
 			func() cluster.Scheduler { return cluster.Quasar{} },
@@ -64,6 +43,7 @@ func FleetExp(seed uint64) *Report {
 			for _, trickle := range []bool{false, true} {
 				sched := mkSched() // fresh per run: Affinity accumulates labels
 				c := attack.NewCampaign(rng.Split(), size, sched, trickle)
+				c.Engine.Workers = o.ShardWorkers
 				out := c.Run(attack.Hooks{})
 				strategy := "bulk"
 				if trickle {

@@ -18,9 +18,9 @@ import (
 // information about a workload — and whose isolation should be prioritised.
 // The paper finds the LLC and L1-i caches carry the most value, followed by
 // compute intensity and memory bandwidth, with L2 a poor indicator.
-func Insights(seed uint64) *Report {
+func Insights(o Options) *Report {
 	rep := newReport("insights", "Which resources leak the most information")
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	det := o.train(core.Config{})
 
 	// Per-resource information value from the similarity concepts.
 	value := det.Rec.ResourceValue()
@@ -68,7 +68,7 @@ func Insights(seed uint64) *Report {
 	// Validate the ranking against ground truth: measure detection accuracy
 	// when only a single resource is observed (plus completion). A
 	// high-value resource should identify more victims on its own.
-	victims := workload.VictimSpecs(seed, 60)
+	victims := workload.VictimSpecs(o.Seed, 60)
 	// The observation rows don't depend on which resource is "known", so
 	// they are built once; each per-resource sweep then shares one mask
 	// across all victims — exactly the shape DetectBatch serves with one

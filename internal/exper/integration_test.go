@@ -105,7 +105,7 @@ func TestEndToEndPipeline(t *testing.T) {
 // TestReportJSONRoundTrip: every experiment's report must serialise to
 // valid JSON carrying its metrics.
 func TestReportJSONRoundTrip(t *testing.T) {
-	rep := Figure5(3)
+	rep := Figure5(Options{Seed: 3})
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestExperimentsAllRunnable(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			rep := e.Run(11)
+			rep := e.Run(Options{Seed: 11})
 			if rep.ID != e.ID {
 				t.Fatalf("report ID %q != experiment ID %q", rep.ID, e.ID)
 			}

@@ -25,7 +25,7 @@ const (
 // are layered onto baremetal, container, and VM platforms, ending with
 // core isolation; plus the paper's note that core isolation alone still
 // allows 46% accuracy.
-func Figure14(seed uint64) *Report {
+func Figure14(o Options) *Report {
 	rep := newReport("fig14", "Detection accuracy under isolation")
 
 	labels := isolation.StackLabels()
@@ -53,11 +53,10 @@ func Figure14(seed uint64) *Report {
 			go func() {
 				defer wg.Done()
 				res := RunControlled(ControlledConfig{
-					Seed:      seed,
 					Servers:   fig14Servers,
 					Victims:   fig14Victims,
 					ServerCfg: cfg.ServerConfig(8, 2),
-				})
+				}, o)
 				mu.Lock()
 				accs[cell{p, step}] = res.Accuracy()
 				mu.Unlock()
@@ -69,11 +68,10 @@ func Figure14(seed uint64) *Report {
 	go func() {
 		defer wg.Done()
 		res := RunControlled(ControlledConfig{
-			Seed:      seed,
 			Servers:   fig14Servers,
 			Victims:   fig14Victims,
 			ServerCfg: isolation.CoreIsolationOnly(isolation.Containers).ServerConfig(8, 2),
-		})
+		}, o)
 		coreOnlyAcc = res.Accuracy()
 	}()
 	wg.Wait()
@@ -103,15 +101,15 @@ func Figure14(seed uint64) *Report {
 // average execution-time penalty (threads of one job contending with each
 // other) and the utilisation sacrificed either by whole-core reservation
 // or by over-provisioning.
-func IsolationCost(seed uint64) *Report {
+func IsolationCost(o Options) *Report {
 	rep := newReport("isocost", "Cost of core isolation")
-	rng := stats.NewRNG(seed ^ 0x150c057)
+	rng := stats.NewRNG(o.Seed ^ 0x150c057)
 
 	// Performance: run batch victims with and without the core-isolation
 	// penalty applied.
 	cfg := isolation.Config{Platform: isolation.Containers, CoreIsolation: true}
 	var slowdowns []float64
-	victims := workload.VictimSpecs(seed, 30)
+	victims := workload.VictimSpecs(o.Seed, 30)
 	for _, spec := range victims {
 		spec.Jitter = 0
 		s := sim.NewServer("s0", sim.ServerConfig{})

@@ -13,9 +13,9 @@ import (
 // Figure4 reproduces Fig. 4: the coverage of the resource-characteristics
 // space by the 120-application training set, shown as CPU×Memory and
 // Network×Storage pressure scatters.
-func Figure4(seed uint64) *Report {
+func Figure4(o Options) *Report {
 	rep := newReport("fig4", "Training-set coverage")
-	specs := workload.TrainingSpecs(seed)
+	specs := workload.TrainingSpecs(o.Seed)
 
 	heat1 := trace.NewHeatmap("Fig 4a: CPU vs Memory pressure coverage",
 		"memory pressure (top=100)", "CPU pressure", 10, 20)
@@ -65,9 +65,9 @@ func Figure4(seed uint64) *Report {
 // it exerts on pairs of resources. The posterior is estimated empirically:
 // many labelled samples are drawn from the catalog, binned by the pressure
 // pair, and P(memcached) is the bin's share of memcached samples.
-func Figure2(seed uint64) *Report {
+func Figure2(o Options) *Report {
 	rep := newReport("fig2", "P(memcached) vs resource pressure pairs")
-	rng := stats.NewRNG(seed ^ 0xf162)
+	rng := stats.NewRNG(o.Seed ^ 0xf162)
 
 	pairs := []struct {
 		x, y sim.Resource
@@ -160,9 +160,9 @@ func Figure2(seed uint64) *Report {
 // Figure5 reproduces Fig. 5: the star charts comparing two Hadoop jobs
 // (word count on a small dataset vs a recommender on a large one) and the
 // similarity scores an unknown Hadoop job receives against each.
-func Figure5(seed uint64) *Report {
+func Figure5(o Options) *Report {
 	rep := newReport("fig5", "Star charts and within-framework similarity")
-	rng := stats.NewRNG(seed ^ 0xf165)
+	rng := stats.NewRNG(o.Seed ^ 0xf165)
 
 	wc := workload.Hadoop(rng.Split(), 0)   // wordcount:S
 	rec := workload.Hadoop(rng.Split(), 22) // recommender, L-size cycle
@@ -185,12 +185,14 @@ func Figure5(seed uint64) *Report {
 		{Label: rec.Label, Class: rec.Class, Pressure: rec.Base.Slice()},
 	}
 	// A recommender needs a broader context to have meaningful concepts.
-	for _, s := range workload.TrainingSpecs(seed) {
+	for _, s := range workload.TrainingSpecs(o.Seed) {
 		profiles = append(profiles, mining.LabeledProfile{
 			Label: s.Label, Class: s.Class, Pressure: s.Base.Slice(),
 		})
 	}
-	recSys := mining.NewRecommender(profiles, mining.RecommenderConfig{})
+	recSys := mining.NewRecommender(profiles, mining.RecommenderConfig{
+		Completion: mining.CompletionConfig{FixedFoldIn: o.FixedFoldIn},
+	})
 	result := recSys.DetectDense(unknown.Base.Slice())
 	simWC, simRec := 0.0, 0.0
 	for _, m := range result.Matches {

@@ -2,10 +2,7 @@ package exper
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-
-	"bolt/internal/mining"
 )
 
 // TestSuiteParityGatedVsFixedFoldIn is the regression contract of the
@@ -23,10 +20,9 @@ func TestSuiteParityGatedVsFixedFoldIn(t *testing.T) {
 		t.Skip("runs the full experiment suite twice")
 	}
 	const seed = 42
-	parallel := runtime.GOMAXPROCS(0)
 
-	render := func() []byte {
-		results := Run(All(), seed, parallel)
+	render := func(fixedFoldIn bool) []byte {
+		results := Run(All(), Options{Seed: seed, FixedFoldIn: fixedFoldIn})
 		reports := make([]*Report, len(results))
 		for i, r := range results {
 			reports[i] = r.Report
@@ -38,28 +34,10 @@ func TestSuiteParityGatedVsFixedFoldIn(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	gated := render()
-	mining.SetForceFixedFoldIn(true)
-	defer mining.SetForceFixedFoldIn(false)
-	fixed := render()
+	gated := render(false)
+	fixed := render(true)
 
 	if !bytes.Equal(gated, fixed) {
-		i := 0
-		for i < len(gated) && i < len(fixed) && gated[i] == fixed[i] {
-			i++
-		}
-		lo := i - 60
-		if lo < 0 {
-			lo = 0
-		}
-		hiG, hiF := i+60, i+60
-		if hiG > len(gated) {
-			hiG = len(gated)
-		}
-		if hiF > len(fixed) {
-			hiF = len(fixed)
-		}
-		t.Fatalf("suite output diverged at byte %d:\n  gated: …%s…\n  fixed: …%s…",
-			i, gated[lo:hiG], fixed[lo:hiF])
+		t.Fatalf("suite output diverged: gated (a) vs fixed (b) at %s", firstDivergence(gated, fixed))
 	}
 }

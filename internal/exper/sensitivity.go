@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bolt/internal/core"
+	"bolt/internal/par"
 	"bolt/internal/probe"
 	"bolt/internal/sim"
 	"bolt/internal/stats"
@@ -16,11 +17,11 @@ import (
 // seven minutes; Bolt re-detects every 20 s and the figure shows the
 // victim's resource pressure over time plus where each phase change is
 // caught.
-func Figure8(seed uint64) *Report {
+func Figure8(o Options) *Report {
 	rep := newReport("fig8", "Workload phase detection")
-	rng := stats.NewRNG(seed ^ 0xf168)
+	rng := stats.NewRNG(o.Seed ^ 0xf168)
 
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	det := o.train(core.Config{})
 
 	const phaseSecs = 84 // 5 phases over ~7 minutes
 	phaseDur := sim.Tick(phaseSecs * sim.TicksPerSecond)
@@ -38,7 +39,7 @@ func Figure8(seed uint64) *Report {
 	if err := s.Place(victim); err != nil {
 		panic(err)
 	}
-	adv := probe.NewAdversary("bolt", 4, probe.Config{}, rng.Split())
+	adv := probe.NewAdversary("bolt", 4, probe.Config{Faults: o.Faults}, rng.Split())
 	if err := s.Place(adv.VM); err != nil {
 		panic(err)
 	}
@@ -92,14 +93,14 @@ func Figure8(seed uint64) *Report {
 // Figure10 reproduces Fig. 10: detection accuracy as a function of (a) the
 // profiling interval against phase-changing victims, (b) the adversarial
 // VM size, and (c) the number of profiling microbenchmarks.
-func Figure10(seed uint64) *Report {
+func Figure10(o Options) *Report {
 	rep := newReport("fig10", "Sensitivity analysis")
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
+	det := o.train(core.Config{})
 
 	rep.Figures = append(rep.Figures,
-		fig10aInterval(seed, det, rep),
-		fig10bVMSize(seed, det, rep),
-		fig10cBenchmarks(seed, det, rep),
+		fig10aInterval(o, det, rep),
+		fig10bVMSize(o, det, rep),
+		fig10cBenchmarks(o, det, rep),
 	)
 	rep.Notes = append(rep.Notes,
 		"paper: accuracy collapses past 30 s intervals; <4 vCPU adversaries are blind; >3 benchmarks have diminishing returns")
@@ -110,8 +111,8 @@ func Figure10(seed uint64) *Report {
 // time t is considered correct for the whole interval if the label matched
 // the active phase both when it was made and at the interval's end. Longer
 // intervals go stale as phases change underneath.
-func fig10aInterval(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
-	rng := stats.NewRNG(seed ^ 0xf1601)
+func fig10aInterval(o Options, det *core.Detector, rep *Report) *trace.Figure {
+	rng := stats.NewRNG(o.Seed ^ 0xf1601)
 	intervals := []float64{5, 10, 20, 30, 60, 120, 180, 300}
 
 	const trials = 30
@@ -127,7 +128,7 @@ func fig10aInterval(seed uint64, det *core.Detector, rep *Report) *trace.Figure 
 		for tr := range trialRngs {
 			trialRngs[tr] = rng.Split()
 		}
-		forEachEpisode(trials, func(tr int) {
+		par.FanOut(trials, o.EpisodeWorkers, nil, func(tr int) {
 			trng := trialRngs[tr]
 			// Build a phase-changing victim.
 			var phases []workload.Phase
@@ -145,7 +146,7 @@ func fig10aInterval(seed uint64, det *core.Detector, rep *Report) *trace.Figure 
 			if err := s.Place(&sim.VM{ID: "v", VCPUs: 3, App: seq}); err != nil {
 				panic(err)
 			}
-			adv := probe.NewAdversary("bolt", 4, probe.Config{}, trng.Split())
+			adv := probe.NewAdversary("bolt", 4, probe.Config{Faults: o.Faults}, trng.Split())
 			if err := s.Place(adv.VM); err != nil {
 				panic(err)
 			}
@@ -177,8 +178,8 @@ func fig10aInterval(seed uint64, det *core.Detector, rep *Report) *trace.Figure 
 
 // fig10bVMSize: single-victim detection accuracy as the adversarial VM
 // grows from 1 to 32 vCPUs on a 32-vCPU host (the EC2 instance sizes).
-func fig10bVMSize(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
-	rng := stats.NewRNG(seed ^ 0xf1602)
+func fig10bVMSize(o Options, det *core.Detector, rep *Report) *trace.Figure {
+	rng := stats.NewRNG(o.Seed ^ 0xf1602)
 	sizes := []int{1, 2, 4, 8, 16, 28}
 	const trials = 40
 
@@ -186,12 +187,12 @@ func fig10bVMSize(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
 	trialRngs := make([]*stats.RNG, trials)
 	hits := make([]bool, trials)
 	for _, size := range sizes {
-		victims := workload.VictimSpecs(seed^uint64(size), trials)
+		victims := workload.VictimSpecs(o.Seed^uint64(size), trials)
 		// Pre-split one stream per trial, fan the trials out, count in order.
 		for tr := range trialRngs {
 			trialRngs[tr] = rng.Split()
 		}
-		forEachEpisode(trials, func(tr int) {
+		par.FanOut(trials, o.EpisodeWorkers, nil, func(tr int) {
 			trng := trialRngs[tr]
 			hits[tr] = false
 			s := sim.NewServer("s0", sim.ServerConfig{Cores: 16, ThreadsPerCore: 2})
@@ -200,7 +201,7 @@ func fig10bVMSize(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
 			if err := s.Place(&sim.VM{ID: "v", VCPUs: 3, App: app}); err != nil {
 				panic(err)
 			}
-			adv := probe.NewAdversary("bolt", size, probe.Config{}, trng.Split())
+			adv := probe.NewAdversary("bolt", size, probe.Config{Faults: o.Faults}, trng.Split())
 			if err := s.Place(adv.VM); err != nil {
 				return
 			}
@@ -226,8 +227,8 @@ func fig10bVMSize(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
 
 // fig10cBenchmarks: single-iteration detection accuracy vs the number of
 // profiling microbenchmarks (1 = the core benchmark alone).
-func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figure {
-	rng := stats.NewRNG(seed ^ 0xf1603)
+func fig10cBenchmarks(o Options, det *core.Detector, rep *Report) *trace.Figure {
+	rng := stats.NewRNG(o.Seed ^ 0xf1603)
 	counts := []int{1, 2, 3, 4, 6, 8, 10}
 	const trials = 40
 
@@ -235,17 +236,17 @@ func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figur
 	trialRngs := make([]*stats.RNG, trials)
 	hits := make([]bool, trials)
 	for _, n := range counts {
-		detN := core.TrainCached(workload.TrainingSpecs(seed), core.Config{
+		detN := o.train(core.Config{
 			ExtraBench:    maxInt(0, n-2),
 			MaxIterations: 1,
 		})
 		_ = det
-		victims := workload.VictimSpecs(seed^uint64(n)<<8, trials)
+		victims := workload.VictimSpecs(o.Seed^uint64(n)<<8, trials)
 		// Pre-split one stream per trial, fan the trials out, count in order.
 		for tr := range trialRngs {
 			trialRngs[tr] = rng.Split()
 		}
-		forEachEpisode(trials, func(tr int) {
+		par.FanOut(trials, o.EpisodeWorkers, nil, func(tr int) {
 			trng := trialRngs[tr]
 			s := sim.NewServer("s0", sim.ServerConfig{})
 			spec := victims[tr]
@@ -253,7 +254,7 @@ func fig10cBenchmarks(seed uint64, det *core.Detector, rep *Report) *trace.Figur
 			if err := s.Place(&sim.VM{ID: "v", VCPUs: 3, App: app}); err != nil {
 				panic(err)
 			}
-			adv := probe.NewAdversary("bolt", 4, probe.Config{}, trng.Split())
+			adv := probe.NewAdversary("bolt", 4, probe.Config{Faults: o.Faults}, trng.Split())
 			if err := s.Place(adv.VM); err != nil {
 				panic(err)
 			}

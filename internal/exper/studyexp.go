@@ -22,9 +22,9 @@ const studyScale = 20
 
 // Figure11 reproduces Fig. 11: the PDF of application types launched in
 // the user study, per user.
-func Figure11(seed uint64) *Report {
+func Figure11(o Options) *Report {
 	rep := newReport("fig11", "User study: application-type PDF")
-	s := study.Generate(study.Config{Seed: seed})
+	s := study.Generate(study.Config{Seed: o.Seed})
 
 	pdf := s.OccurrencePDF()
 	tb := trace.NewTable("Fig 11: occurrences per application type",
@@ -56,10 +56,10 @@ type studyOutcome struct {
 // runStudy places the study's jobs on the instance fleet, runs Bolt on
 // every active instance at several points in (scaled) time, and scores
 // each job at the detection nearest the middle of its lifetime.
-func runStudy(seed uint64) ([]studyOutcome, *study.Study, []int, [][]int) {
-	s := study.Generate(study.Config{Seed: seed})
-	det := core.TrainCached(workload.TrainingSpecs(seed), core.Config{})
-	rng := stats.NewRNG(seed ^ 0x57d7)
+func runStudy(o Options) ([]studyOutcome, *study.Study, []int, [][]int) {
+	s := study.Generate(study.Config{Seed: o.Seed})
+	det := o.train(core.Config{})
+	rng := stats.NewRNG(o.Seed ^ 0x57d7)
 
 	// c3.8xlarge-like instances: 32 vCPUs (16 cores × 2), with a 4-vCPU
 	// Bolt VM reserved on each.
@@ -67,7 +67,7 @@ func runStudy(seed uint64) ([]studyOutcome, *study.Study, []int, [][]int) {
 		cluster.LeastLoaded{})
 	advs := map[string]*probe.Adversary{}
 	for _, srv := range cl.Servers {
-		adv := probe.NewAdversary("bolt-"+srv.Name(), 4, probe.Config{}, rng.Split())
+		adv := probe.NewAdversary("bolt-"+srv.Name(), 4, probe.Config{Faults: o.Faults}, rng.Split())
 		if err := srv.Place(adv.VM); err != nil {
 			continue
 		}
@@ -172,9 +172,9 @@ func runStudy(seed uint64) ([]studyOutcome, *study.Study, []int, [][]int) {
 // Figure12 reproduces Fig. 12: how many study jobs Bolt labelled correctly
 // (a), how many it characterised correctly (b), and the jobs-per-instance
 // occupancy over time (c).
-func Figure12(seed uint64) *Report {
+func Figure12(o Options) *Report {
 	rep := newReport("fig12", "User study: detection accuracy")
-	outcomes, s, occupancy, grid := runStudy(seed)
+	outcomes, s, occupancy, grid := runStudy(o)
 
 	labelled, characterised := 0, 0
 	labelledByType := stats.NewCounter()

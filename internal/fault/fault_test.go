@@ -268,22 +268,6 @@ func TestChurnWithNoCoResidentsInjectsNothing(t *testing.T) {
 	}
 }
 
-func TestSetDefaultRoundTrip(t *testing.T) {
-	defer SetDefault(Config{})
-	if got := Default(); got.Enabled() {
-		t.Fatalf("Default() enabled before SetDefault: %+v", got)
-	}
-	SetDefault(Config{Rate: 0.2, SpikeMax: 10})
-	got := Default()
-	if got.Rate != 0.2 || got.SpikeMax != 10 {
-		t.Errorf("Default() = %+v after SetDefault(Rate 0.2, SpikeMax 10)", got)
-	}
-	SetDefault(Config{})
-	if Default().Enabled() {
-		t.Error("Default() still enabled after reset")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	want := map[Class]string{
 		Dropout: "dropout", Corruption: "corruption",

@@ -29,7 +29,6 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"bolt/internal/cluster"
 	"bolt/internal/defence"
@@ -37,30 +36,6 @@ import (
 	"bolt/internal/sim"
 	"bolt/internal/stats"
 )
-
-// shardWorkers is the width of the fleet tick pool; 0 means GOMAXPROCS. It
-// is process-global (like exper's episode pool) because it is a pure
-// throughput knob: shard boundaries affect only which goroutine runs a
-// server's tick body, never what that body computes or emits.
-var shardWorkers atomic.Int32
-
-// SetShardWorkers fixes how many shards advance concurrently within one
-// fleet tick (the boltbench -shardworkers knob). n <= 0 restores the
-// default (GOMAXPROCS at use time).
-func SetShardWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	shardWorkers.Store(int32(n))
-}
-
-// ShardWorkers returns the current fleet tick pool width.
-func ShardWorkers() int {
-	if n := int(shardWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Event is one observation emitted by per-server tick work: a probe
 // crossing its detection threshold, a monitor tripping, a co-residency
@@ -117,6 +92,13 @@ type Stats struct {
 // would misalign them. VM placement and migration remain free to happen
 // between ticks.
 type Engine struct {
+	// Workers is how many shards advance concurrently within one tick
+	// (NewEngine sets GOMAXPROCS; <= 1 ticks inline). It is a pure
+	// throughput knob: shard boundaries affect only which goroutine runs a
+	// server's tick body, never what that body computes or emits. Set it
+	// between ticks, never during one.
+	Workers int
+
 	cl   *cluster.Cluster
 	rngs []*stats.RNG
 
@@ -142,12 +124,13 @@ type Engine struct {
 func NewEngine(cl *cluster.Cluster, rng *stats.RNG) *Engine {
 	n := len(cl.Servers)
 	return &Engine{
-		cl:     cl,
-		rngs:   rng.SplitN(n),
-		events: make([][]Event, n),
-		cpu:    make([]float64, n),
-		vms:    make([]int, n),
-		free:   make([]int, n),
+		Workers: runtime.GOMAXPROCS(0),
+		cl:      cl,
+		rngs:    rng.SplitN(n),
+		events:  make([][]Event, n),
+		cpu:     make([]float64, n),
+		vms:     make([]int, n),
+		free:    make([]int, n),
 	}
 }
 
@@ -189,9 +172,7 @@ func (e *Engine) Tick(t sim.Tick, fn TickFunc) ([]Event, Stats) {
 	if n != len(e.rngs) {
 		panic(fmt.Sprintf("fleet: cluster grew from %d to %d servers after NewEngine; per-server RNG streams are fixed at construction", len(e.rngs), n))
 	}
-	workers := ShardWorkers()
-
-	par.FanOutBlocks(n, workers,
+	par.FanOutBlocks(n, e.Workers,
 		func(lo int) string { return fmt.Sprintf("fleet shard at server %d", lo) },
 		func(lo, hi int) {
 			// One World per shard per tick, re-pointed at each server in

@@ -10,14 +10,6 @@ import (
 	"bolt/internal/workload"
 )
 
-// withShardWorkers pins the tick pool width for one test and restores the
-// default on cleanup.
-func withShardWorkers(t *testing.T, n int) {
-	t.Helper()
-	SetShardWorkers(n)
-	t.Cleanup(func() { SetShardWorkers(0) })
-}
-
 // buildFleet populates a fresh cluster of n servers with ~3 VMs per server,
 // placed deterministically, and returns an engine over it. Every call with
 // the same arguments builds an identical world.
@@ -58,8 +50,8 @@ func probeTick(w *World) {
 // stats.
 func runFleet(t *testing.T, workers, servers, ticks int) ([]Event, []Stats) {
 	t.Helper()
-	withShardWorkers(t, workers)
 	e := buildFleet(42, servers)
+	e.Workers = workers
 	var events []Event
 	var sts []Stats
 	for tick := 0; tick < ticks; tick++ {
@@ -100,8 +92,8 @@ func TestTickParityAcrossShardWorkers(t *testing.T) {
 
 // TestTickEventsArriveInServerIDOrder pins the barrier's merge rule.
 func TestTickEventsArriveInServerIDOrder(t *testing.T) {
-	withShardWorkers(t, 4)
 	e := buildFleet(7, 33)
+	e.Workers = 4
 	ev, _ := e.Tick(0, func(w *World) {
 		w.Emit(0, "", float64(w.Index))
 		w.Emit(1, "", float64(w.Index))
@@ -119,9 +111,9 @@ func TestTickEventsArriveInServerIDOrder(t *testing.T) {
 // TestTickStats checks the occupancy reduction against the world the test
 // itself built: 3 VMs per server, sized 1+(i+j)%3 vCPUs.
 func TestTickStats(t *testing.T) {
-	withShardWorkers(t, 3)
 	const n = 10
 	e := buildFleet(42, n)
+	e.Workers = 3
 	_, st := e.Tick(0, nil)
 	if st.Servers != n {
 		t.Fatalf("Servers = %d, want %d", st.Servers, n)
@@ -152,9 +144,9 @@ func TestTickStats(t *testing.T) {
 // regression this guards against: at 4096 servers it would turn one tick
 // into thousands of allocations.
 func TestTickSteadyStateAllocs(t *testing.T) {
-	withShardWorkers(t, 1) // inline path isolates engine allocations from pool goroutines
 	perTick := func(servers int) float64 {
 		e := buildFleet(42, servers)
+		e.Workers = 1 // inline path isolates engine allocations from pool goroutines
 		e.Tick(0, probeTick)
 		e.Tick(1, probeTick)
 		return testing.AllocsPerRun(50, func() {

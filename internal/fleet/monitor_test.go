@@ -82,8 +82,8 @@ func TestMonitorAlarmOrderedAfterBodyEvents(t *testing.T) {
 // worker count.
 func TestMonitorParityAcrossShardWorkers(t *testing.T) {
 	run := func(workers int) []Event {
-		withShardWorkers(t, workers)
 		e := buildFleet(7, 13)
+		e.Workers = workers
 		for i := 0; i < 13; i += 3 {
 			e.SetMonitor(i, defence.NewMonitor(&defence.CPUThreshold{Threshold: 5, Sustain: 2}))
 		}

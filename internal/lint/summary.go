@@ -24,73 +24,65 @@ import (
 //     Interface method calls fan out to every implementation declared in
 //     the analyzed packages, so a hot path calling through an interface is
 //     still tracked. Cycles converge because the facts are monotone booleans.
-//  3. Per-package fact extraction is cached on disk keyed by source content
-//     and dependency hashes (summarycache.go), the same shape as the
-//     `go list -export` data the loader already leans on.
 //
 // The four interprocedural analyzers (hotcall, rcudiscipline, barriermerge,
 // timerleak) consume the index through Pass.Summaries.
 
-// summaryVersion invalidates cached package summaries whenever the fact
-// extractor or the external-facts table changes shape.
-const summaryVersion = 1
-
 // ParamForward records one call argument that is a func-typed parameter of
-// the enclosing function, e.g. exper.fanOut passing its body through to
+// the enclosing function, e.g. a wrapper passing its body through to
 // par.FanOut. The fixed point uses these to learn which wrappers are
 // fan-out entry points.
 type ParamForward struct {
-	Callee     string `json:"callee"`      // summary key of the called function
-	ArgIndex   int    `json:"arg_index"`   // position in the call
-	ParamIndex int    `json:"param_index"` // position in the enclosing signature
+	Callee     string // summary key of the called function
+	ArgIndex   int    // position in the call
+	ParamIndex int    // position in the enclosing signature
 }
 
 // FuncFacts are the per-function facts the summary layer extracts and
-// propagates. The exported fields are local (this body only) and are what
-// the per-package cache serializes; the unexported trans* fields are the
-// transitive closure computed per run.
+// propagates. The exported fields are local (this body only); the
+// unexported trans* fields are the transitive closure computed per run.
 type FuncFacts struct {
 	// Allocates reports an unguarded, unsuppressed allocation construct in
 	// the body: make/new, slice/map composite literals, address-taken
 	// literals, appends without capacity provenance, escaping closures, or
 	// a call into the known-allocating external table. AllocDesc/AllocPos
 	// describe the first such site for diagnostics.
-	Allocates bool   `json:"allocates,omitempty"`
-	AllocDesc string `json:"alloc_desc,omitempty"`
-	AllocPos  string `json:"alloc_pos,omitempty"`
+	Allocates bool
+	AllocDesc string
+	AllocPos  string
 
 	// ReadsClock reports a wall-clock read (time.Now and friends).
-	ReadsClock bool `json:"reads_clock,omitempty"`
+	ReadsClock bool
 	// Goroutine reports a `go` statement in the body.
-	Goroutine bool `json:"goroutine,omitempty"`
+	Goroutine bool
 
 	// PtrLoads/PtrStores/PtrSwaps/PtrCAS are the atomic.Pointer fields this
 	// body Load/Store/Swap/CompareAndSwap-s, as field keys
 	// ("pkg/path.Type.field").
-	PtrLoads  []string `json:"ptr_loads,omitempty"`
-	PtrStores []string `json:"ptr_stores,omitempty"`
-	PtrSwaps  []string `json:"ptr_swaps,omitempty"`
-	PtrCAS    []string `json:"ptr_cas,omitempty"`
+	PtrLoads  []string
+	PtrStores []string
+	PtrSwaps  []string
+	PtrCAS    []string
 
 	// WGDone/WGWait are the sync.WaitGroup *fields* this body calls
 	// Done/Wait on (field keys). Local WaitGroups are intra-function and
 	// need no summary.
-	WGDone []string `json:"wg_done,omitempty"`
-	WGWait []string `json:"wg_wait,omitempty"`
+	WGDone []string
+	WGWait []string
 
 	// Calls are the statically resolved callee keys, deduplicated, in
 	// source order (the order matters: transitive-allocation chains pick
 	// the first allocating callee deterministically).
-	Calls []string `json:"calls,omitempty"`
+	Calls []string
 
 	// FanOutParams are indices of func-typed parameters this function runs
 	// as fan-out bodies (seeded at par.FanOut/FanOutBlocks, learned for
 	// wrappers through ParamForwards).
-	FanOutParams []int `json:"fanout_params,omitempty"`
+	FanOutParams []int
 	// ParamForwards records func-typed parameters passed on to callees.
-	ParamForwards []ParamForward `json:"param_forwards,omitempty"`
+	ParamForwards []ParamForward
 
-	// Transitive closure (computed per run, never cached).
+	// Transitive closure.
 	transAlloc bool
 	allocVia   string // first callee (source order) the allocation is reached through; "" = local
 	transClock bool
@@ -141,8 +133,8 @@ var externalFacts = map[string]FuncFacts{
 
 // fanOutSeeds are the ground-truth fan-out entry points: par.FanOut and
 // par.FanOutBlocks run their 4th argument as the concurrent body. Wrappers
-// (exper.fanOut, exper.forEachEpisode, and whatever comes next) are learned
-// from ParamForwards at fixed point, so the seed list never needs to grow.
+// that forward a body to them are learned from ParamForwards at fixed
+// point, so the seed list never needs to grow.
 var fanOutSeeds = map[string][]int{
 	"bolt/internal/par.FanOut":       {3},
 	"bolt/internal/par.FanOutBlocks": {3},
@@ -285,8 +277,7 @@ func shortFuncName(key string) string {
 	}
 }
 
-// BuildSummaries extracts local facts for every function in pkgs (consulting
-// the per-package cache when enabled), resolves interface-dispatch and
+// BuildSummaries extracts local facts for every function in pkgs, resolves interface-dispatch and
 // fan-out edges, and runs the fixed point. It is deterministic: iteration
 // orders are pinned by sorted keys and source order, never map order.
 func BuildSummaries(pkgs []*Package) *Summaries {
@@ -296,27 +287,12 @@ func BuildSummaries(pkgs []*Package) *Summaries {
 		impls: map[string][]string{},
 	}
 
-	// Phase 1: local facts per package, cache-aware. Packages are processed
-	// in sorted-path order so dependency hashes chain deterministically.
-	ordered := append([]*Package(nil), pkgs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].PkgPath < ordered[j].PkgPath })
-	hashes := map[string]string{}
-	for _, pkg := range ordered {
-		key := summaryCacheKey(pkg, hashes)
-		hashes[pkg.PkgPath] = key
-		if cached, ok := loadCachedSummary(key); ok {
-			for fk, ff := range cached {
-				s.funcs[fk] = ff
-				s.pkgOf[fk] = pkg.PkgPath
-			}
-			continue
-		}
-		local := extractPackageFacts(pkg)
-		for fk, ff := range local {
+	// Phase 1: local facts per package.
+	for _, pkg := range pkgs {
+		for fk, ff := range extractPackageFacts(pkg) {
 			s.funcs[fk] = ff
 			s.pkgOf[fk] = pkg.PkgPath
 		}
-		storeCachedSummary(key, local)
 	}
 
 	// Phase 2: synthesize entries for callees that have no body here —

@@ -146,25 +146,3 @@ func TestFanOutParamPropagation(t *testing.T) {
 		t.Errorf("FanOutParams(fanAll) = %v, want [1] (learned through par.FanOut)", got)
 	}
 }
-
-// TestSummaryCacheDeterminism builds the same package cold (extracting
-// facts from the AST, populating the cache) and warm (reading them back)
-// and requires identical summaries — the cache must never change results.
-func TestSummaryCacheDeterminism(t *testing.T) {
-	prev := SetSummaryCacheDir(t.TempDir())
-	defer SetSummaryCacheDir(prev)
-
-	pkg := loadFixture(t, "bolt/internal/hotcall", "hotcall")
-	cold := BuildSummaries([]*Package{pkg})
-	warm := BuildSummaries([]*Package{pkg})
-
-	if !reflect.DeepEqual(cold.keys, warm.keys) {
-		t.Fatalf("cold/warm key sets differ:\ncold: %v\nwarm: %v", cold.keys, warm.keys)
-	}
-	for _, k := range cold.keys {
-		if !reflect.DeepEqual(cold.funcs[k], warm.funcs[k]) {
-			t.Errorf("facts for %s differ between cold and warm builds:\ncold: %+v\nwarm: %+v",
-				k, cold.funcs[k], warm.funcs[k])
-		}
-	}
-}

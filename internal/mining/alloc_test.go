@@ -39,7 +39,7 @@ func TestCompleteIntoAllocationFree(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
 	}
 	train := trainMatrix(22, 30, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 3})
+	c := NewCompleter(train, CompletionConfig{Seed: 3})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[2], known[2] = 40, true
@@ -57,7 +57,7 @@ func TestCompleteAllocationBudget(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race; allocation counts are inflated by design")
 	}
 	train := trainMatrix(23, 30, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 3})
+	c := NewCompleter(train, CompletionConfig{Seed: 3})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[1], known[1] = 25, true

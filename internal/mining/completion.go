@@ -3,7 +3,6 @@ package mining
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"bolt/internal/stats"
 )
@@ -24,16 +23,12 @@ const foldInIters = 2000
 // suite with the gate on and off and asserts byte-identical output.
 const foldInTol = 0x1p-48
 
-// forceFixedFoldIn globally disables the fold-in convergence gate, as if
-// every CompletionConfig had FixedFoldIn set. It exists for the determinism
-// parity test, which runs the whole experiment suite both ways inside one
-// binary and asserts byte-identical output. Atomic because the parallel
-// experiment runner calls Complete from many goroutines.
-var forceFixedFoldIn atomic.Bool
-
-// SetForceFixedFoldIn toggles the global fold-in escape hatch (see
-// FixedFoldIn). Intended for tests; the default false enables the gate.
-func SetForceFixedFoldIn(v bool) { forceFixedFoldIn.Store(v) }
+// pressureMin and pressureMax bound every completed prediction: pressures
+// are percentages of a resource's capacity.
+const (
+	pressureMin = 0.0
+	pressureMax = 100.0
+)
 
 // CompletionConfig tunes the SGD PQ-reconstruction used to recover the
 // pressure a victim places on resources Bolt did not profile directly.
@@ -43,15 +38,6 @@ type CompletionConfig struct {
 	Reg       float64 // L2 regularisation; 0 means 0.02
 	Epochs    int     // SGD passes over the known ratings; 0 means 400
 	Seed      uint64  // factor initialisation seed
-	MinVal    float64 // clamp floor for predictions (pressure: 0)
-	MaxVal    float64 // clamp ceiling for predictions (pressure: 100)
-	// Unbounded disables the [MinVal, MaxVal] clamp explicitly.
-	//
-	// Deprecated implicit rule, kept for backward compatibility: leaving
-	// MinVal and MaxVal both zero also disables the clamp. New code should
-	// set Unbounded instead — the implicit rule makes "clamp to exactly 0"
-	// inexpressible and will be removed once no caller relies on it.
-	Unbounded bool
 	// FixedFoldIn forces Complete to run the full fold-in iteration budget
 	// instead of stopping at the convergence gate. The gated solve tracks
 	// the fixed one to within a few ULPs (the gate only skips sweeps whose
@@ -62,7 +48,6 @@ type CompletionConfig struct {
 	// for bit. The determinism parity test runs the experiment suite both
 	// ways and asserts byte-identical output.
 	FixedFoldIn bool
-	unbounded   bool
 }
 
 func (c CompletionConfig) withDefaults(n int) CompletionConfig {
@@ -80,9 +65,6 @@ func (c CompletionConfig) withDefaults(n int) CompletionConfig {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 400
-	}
-	if c.Unbounded || (c.MinVal == 0 && c.MaxVal == 0) {
-		c.unbounded = true
 	}
 	return c
 }
@@ -225,7 +207,7 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 	// regulariser would shrink it toward zero and bias every prediction
 	// low, so it is relaxed here.
 	lr, reg := 0.01, c.cfg.Reg*0.1
-	fixed := c.cfg.FixedFoldIn || forceFixedFoldIn.Load()
+	fixed := c.cfg.FixedFoldIn
 	if r == 6 {
 		// The default rank; the specialised solve keeps the six factor
 		// coordinates in registers across the whole gated loop.
@@ -263,10 +245,7 @@ func (c *Completer) CompleteInto(dst, observed []float64, known []bool) {
 			continue
 		}
 		qj := c.q.Data[j*r : (j+1)*r]
-		v := Dot(u, qj)
-		if !c.cfg.unbounded {
-			v = clamp(v, c.cfg.MinVal, c.cfg.MaxVal)
-		}
+		v := clamp(Dot(u, qj), pressureMin, pressureMax)
 		// Blend the latent-factor prediction with the neighbourhood
 		// estimate; the latter dominates because it can only produce
 		// pressure values actually seen in training.
@@ -338,11 +317,7 @@ func gaussKernel(rmsSquared, width float64) float64 {
 // by tests to verify the factorisation fits the training data.
 func (c *Completer) Predict(i, j int) float64 {
 	r := c.cfg.Rank
-	v := Dot(c.p.Data[i*r:(i+1)*r], c.q.Data[j*r:(j+1)*r])
-	if !c.cfg.unbounded {
-		v = clamp(v, c.cfg.MinVal, c.cfg.MaxVal)
-	}
-	return v
+	return clamp(Dot(c.p.Data[i*r:(i+1)*r], c.q.Data[j*r:(j+1)*r]), pressureMin, pressureMax)
 }
 
 func clamp(x, lo, hi float64) float64 {

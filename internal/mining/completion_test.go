@@ -18,8 +18,8 @@ func trainMatrix(seed uint64, rows, cols int) *Matrix {
 
 func TestCompleterDeterministic(t *testing.T) {
 	train := trainMatrix(1, 30, 10)
-	a := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 5})
-	b := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 5})
+	a := NewCompleter(train, CompletionConfig{Seed: 5})
+	b := NewCompleter(train, CompletionConfig{Seed: 5})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[2], known[2] = 40, true
@@ -34,7 +34,7 @@ func TestCompleterDeterministic(t *testing.T) {
 
 func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 	train := trainMatrix(2, 40, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	c := NewCompleter(train, CompletionConfig{Seed: 1})
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		obs := make([]float64, 10)
@@ -63,7 +63,7 @@ func TestCompleterPredictionsBoundedProperty(t *testing.T) {
 
 func TestCompleterNoObservations(t *testing.T) {
 	train := trainMatrix(3, 20, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	c := NewCompleter(train, CompletionConfig{Seed: 1})
 	dense := c.Complete(make([]float64, 10), make([]bool, 10))
 	// With nothing known the neighbourhood falls back to column means,
 	// blended with the (zero-factor) latent prediction: finite, in-range,
@@ -86,7 +86,7 @@ func TestCompleterNoObservations(t *testing.T) {
 
 func TestCompleterLengthMismatchPanics(t *testing.T) {
 	train := trainMatrix(4, 10, 10)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100})
+	c := NewCompleter(train, CompletionConfig{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("length mismatch did not panic")
@@ -103,7 +103,7 @@ func TestNeighbourEstimatePrefersCloseRows(t *testing.T) {
 		rows = append(rows, []float64{80, 80, 80, 10, 10, 10, 10, 10, 10, 10}) // cluster A
 		rows = append(rows, []float64{10, 10, 10, 80, 80, 80, 80, 80, 80, 80}) // cluster B
 	}
-	c := NewCompleter(FromRows(rows), CompletionConfig{MaxVal: 100, Seed: 2})
+	c := NewCompleter(FromRows(rows), CompletionConfig{Seed: 2})
 	obs := make([]float64, 10)
 	known := make([]bool, 10)
 	obs[0], known[0] = 79, true

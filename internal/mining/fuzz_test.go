@@ -26,24 +26,20 @@ func fuzzCompleter() *Completer {
 		for i := range m.Data {
 			m.Data[i] = rng.Range(0, 100)
 		}
-		fuzzCompleterOnce.c = NewCompleter(m, CompletionConfig{
-			Seed:   7,
-			MinVal: 0,
-			MaxVal: 100,
-		})
+		fuzzCompleterOnce.c = NewCompleter(m, CompletionConfig{Seed: 7})
 	})
 	return fuzzCompleterOnce.c
 }
 
 // boundTol absorbs the last-bit rounding a convex combination of in-range
-// values can pick up; completion output must stay within the configured
-// [MinVal, MaxVal] up to this slack.
+// values can pick up; completion output must stay within
+// [pressureMin, pressureMax] up to this slack.
 const boundTol = 1e-9
 
 // FuzzCompleterBounded feeds arbitrary observation vectors and known-masks
 // through the matrix completer and asserts the recommender's input
-// contract: every completed entry is finite and within the configured
-// bounds, known entries pass through unchanged, and the all-missing row
+// contract: every completed entry is finite and within the pressure
+// range, known entries pass through unchanged, and the all-missing row
 // (the fully degraded fault-plane case) still completes in range.
 func FuzzCompleterBounded(f *testing.F) {
 	f.Add(50.0, 60.0, 70.0, 10.0, 20.0, 30.0, uint8(0b111111))
@@ -61,7 +57,7 @@ func FuzzCompleterBounded(f *testing.F) {
 			// Upstream pressures are clamped before they reach the
 			// completer; mirror that contract so the fuzzer explores the
 			// mask/value space, not the out-of-domain input space.
-			observed[j] = clamp(v, 0, 100)
+			observed[j] = clamp(v, pressureMin, pressureMax)
 			known[j] = mask&(1<<j) != 0
 		}
 		out := fuzzCompleter().Complete(observed, known)
@@ -72,8 +68,8 @@ func FuzzCompleterBounded(f *testing.F) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("out[%d] = %g not finite (observed=%v known=%v)", j, v, observed, known)
 			}
-			if v < -boundTol || v > 100+boundTol {
-				t.Fatalf("out[%d] = %g outside [0, 100] (observed=%v known=%v)", j, v, observed, known)
+			if v < pressureMin-boundTol || v > pressureMax+boundTol {
+				t.Fatalf("out[%d] = %g outside [%g, %g] (observed=%v known=%v)", j, v, pressureMin, pressureMax, observed, known)
 			}
 			if known[j] && v != observed[j] {
 				t.Fatalf("known entry %d rewritten: %g -> %g", j, observed[j], v)

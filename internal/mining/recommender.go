@@ -133,9 +133,6 @@ func NewRecommender(profiles []LabeledProfile, cfg RecommenderConfig) *Recommend
 	if cfg.EnergyFraction == 0 {
 		cfg.EnergyFraction = 0.9
 	}
-	if cfg.Completion.MaxVal == 0 {
-		cfg.Completion.MaxVal = 100
-	}
 
 	train := FromRows(rows)
 	means := make([]float64, n)

@@ -151,7 +151,7 @@ func TestCompleterFitsTraining(t *testing.T) {
 		rows[i] = p.Pressure
 	}
 	train := FromRows(rows)
-	c := NewCompleter(train, CompletionConfig{MaxVal: 100, Seed: 1})
+	c := NewCompleter(train, CompletionConfig{Seed: 1})
 	// Reconstruction error on training cells should be modest.
 	sumErr, cells := 0.0, 0
 	for i := 0; i < train.Rows; i++ {
@@ -172,7 +172,7 @@ func TestCompleterRecoversMissing(t *testing.T) {
 	for i, p := range profiles {
 		rows[i] = p.Pressure
 	}
-	c := NewCompleter(FromRows(rows), CompletionConfig{MaxVal: 100, Seed: 2})
+	c := NewCompleter(FromRows(rows), CompletionConfig{Seed: 2})
 
 	// Observe only three entries of a fresh memcached-like profile; the
 	// completion should predict near-zero disk pressure (memcached's

@@ -84,6 +84,7 @@ func TestFanOutBlocksBalanced(t *testing.T) {
 }
 
 func TestFanOutPanicKeepsLowestIndex(t *testing.T) {
+	ran := make([]atomic.Bool, 8)
 	defer func() {
 		wp, ok := recover().(*WorkerPanic)
 		if !ok {
@@ -98,11 +99,21 @@ func TestFanOutPanicKeepsLowestIndex(t *testing.T) {
 		if !strings.Contains(wp.Error(), "boom 1") {
 			t.Fatalf("Error() = %q, missing original value", wp.Error())
 		}
+		if wp.Stack == "" {
+			t.Fatal("WorkerPanic.Stack is empty")
+		}
+		// The panics must not have cancelled the other bodies.
+		for i := range ran {
+			if i != 1 && i != 5 && !ran[i].Load() {
+				t.Fatalf("index %d never ran after index 1 panicked", i)
+			}
+		}
 	}()
-	FanOut(8, 4, func(i int) string { return "unit " + string(rune('0'+i)) }, func(i int) {
+	FanOut(len(ran), 4, func(i int) string { return "unit " + string(rune('0'+i)) }, func(i int) {
 		if i == 1 || i == 5 {
 			panic("boom " + string(rune('0'+i)))
 		}
+		ran[i].Store(true)
 	})
 	t.Fatal("FanOut returned instead of re-panicking")
 }

@@ -91,6 +91,7 @@ func (a *App) noise(t sim.Tick, r sim.Resource) float64 {
 
 // Demand implements sim.Demander: the base profile split into a fixed and a
 // load-following component, modulated by the pattern and jitter.
+//
 //bolt:hotpath
 func (a *App) Demand(t sim.Tick) sim.Vector {
 	if a.memoValid && a.memoTick == t {
